@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check lint lint-deep test race chaos bench bench-server bench-resilience report cover fmt bench-check bench-record bench-baseline
+.PHONY: all build vet fmt-check lint lint-deep test race chaos fuzz bench bench-server bench-resilience report cover fmt bench-check bench-record bench-baseline
 
 all: build vet fmt-check lint lint-deep test
 
@@ -41,6 +41,15 @@ race:
 chaos:
 	$(GO) test -race -run 'Chaos|Fault|Torn|Breaker|Governor|Leak' ./internal/engine/ ./internal/live/ ./internal/storage/ ./internal/fault/ ./internal/testutil/
 	$(GO) run ./cmd/tdbbench -n 512 -chaos
+
+# The fuzz targets for the decoders of outside bytes: the row codec, the
+# driver's result-frame decoder and the heap-file page decoder. Each runs
+# for FUZZTIME from its testdata/fuzz seed corpus.
+FUZZTIME ?= 20s
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRow$$' -fuzztime $(FUZZTIME) ./internal/relation
+	$(GO) test -run '^$$' -fuzz '^FuzzResultFrame$$' -fuzztime $(FUZZTIME) ./driver
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodePage$$' -fuzztime $(FUZZTIME) ./internal/storage
 
 # One benchmark per paper table/figure (see DESIGN.md's experiment index).
 bench:

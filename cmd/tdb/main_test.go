@@ -355,3 +355,31 @@ subscribe watch (Name=f.Name) where (f overlap g)
 		}
 	}
 }
+
+// TestShellDeltasBatchFallback pins what \deltas prints for a degraded
+// (batch) standing query, which has no operator schema to render a table
+// with: a count line, then each row as Row.String renders it — never the
+// kind-prefixed internal encoding.
+func TestShellDeltasBatchFallback(t *testing.T) {
+	db := engine.NewDB()
+	db.MustRegister(relation.New("F", workload.FacultySchema))
+	db.MustRegister(relation.New("G", workload.FacultySchema))
+	var buf bytes.Buffer
+	sh := &shell{db: db, explain: false, streams: true, out: &buf, reg: obs.NewRegistry()}
+	if err := sh.runStatements("range of f is F\nrange of g is G\nsubscribe late (Name=f.Name, Since=f.ValidFrom) where (f before g)"); err != nil {
+		t.Fatal(err)
+	}
+	if out := buf.String(); !strings.Contains(out, "subscribed late: batch") {
+		t.Fatalf("subscribe output: %s", out)
+	}
+	sh.appendRow(`F Ünïcode alice,Assistant,1,5`)
+	sh.appendRow(`G bob,Full,10,20`)
+	sh.flushLive()
+
+	buf.Reset()
+	sh.pollDeltas("late")
+	const want = "lateΔ: 1 rows\n  (Ünïcode alice, 1)\n"
+	if got := buf.String(); got != want {
+		t.Fatalf("\\deltas output\n got %q\nwant %q", got, want)
+	}
+}

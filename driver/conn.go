@@ -77,7 +77,7 @@ func (cn *Conn) QueryContext(ctx context.Context, query string, args []driver.Na
 	if err != nil {
 		return nil, err
 	}
-	return &Rows{cols: resp.Columns, rows: resp.Rows}, nil
+	return resp.rows(), nil
 }
 
 // ExecContext runs a statement for its effect — usually "retrieve into",
@@ -88,7 +88,7 @@ func (cn *Conn) ExecContext(ctx context.Context, query string, args []driver.Nam
 	if err != nil {
 		return nil, err
 	}
-	return result{rows: int64(len(resp.Rows))}, nil
+	return result{rows: int64(resp.n)}, nil
 }
 
 func (cn *Conn) query(ctx context.Context, query string, args []driver.NamedValue) (*queryResponse, error) {
@@ -96,14 +96,9 @@ func (cn *Conn) query(ctx context.Context, query string, args []driver.NamedValu
 	if err != nil {
 		return nil, err
 	}
-	var resp queryResponse
-	err = cn.c.post(ctx, "query", queryRequest{
+	return cn.c.postQuery(ctx, "query", queryRequest{
 		Session: cn.session, Quel: query, Params: params,
-	}, &resp)
-	if err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	})
 }
 
 // Ping verifies the server answers this driver's protocol version.
@@ -194,7 +189,7 @@ func (st *Stmt) QueryContext(ctx context.Context, args []driver.NamedValue) (dri
 	if err != nil {
 		return nil, err
 	}
-	return &Rows{cols: resp.Columns, rows: resp.Rows}, nil
+	return resp.rows(), nil
 }
 
 // Exec executes the statement for its effect (see Conn.ExecContext).
@@ -208,7 +203,7 @@ func (st *Stmt) ExecContext(ctx context.Context, args []driver.NamedValue) (driv
 	if err != nil {
 		return nil, err
 	}
-	return result{rows: int64(len(resp.Rows))}, nil
+	return result{rows: int64(resp.n)}, nil
 }
 
 func (st *Stmt) execute(ctx context.Context, args []driver.NamedValue) (*queryResponse, error) {
@@ -216,14 +211,9 @@ func (st *Stmt) execute(ctx context.Context, args []driver.NamedValue) (*queryRe
 	if err != nil {
 		return nil, err
 	}
-	var resp queryResponse
-	err = st.conn.c.post(ctx, "execute", executeRequest{
+	return st.conn.c.postQuery(ctx, "execute", executeRequest{
 		Session: st.conn.session, Stmt: st.id, Params: params,
-	}, &resp)
-	if err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	})
 }
 
 func namedValues(args []driver.Value) []driver.NamedValue {

@@ -9,9 +9,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httputil"
+	neturl "net/url"
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -87,6 +90,9 @@ func embeddedRows(t *testing.T, db *engine.DB, text string, params []value.Value
 	if err != nil {
 		t.Fatalf("optimize: %v", err)
 	}
+	if res.Contradiction {
+		return [][]any{}
+	}
 	out, _, err := engine.Run(db, res.Tree, engine.Options{})
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -114,7 +120,7 @@ func scanAll(t *testing.T, rows *sql.Rows) [][]any {
 	if err != nil {
 		t.Fatalf("column types: %v", err)
 	}
-	var out [][]any
+	out := [][]any{}
 	for rows.Next() {
 		ptrs := make([]any, len(cts))
 		for i, ct := range cts {
@@ -153,21 +159,77 @@ func asJSON(t *testing.T, rows [][]any) string {
 	return string(b)
 }
 
-// TestConformance: every seed query returns, through sql.Open("tdb"),
-// rows byte-identical to the embedded engine's.
+// answerProxy fronts the server at url with a reverse proxy that records
+// the content type of every query and execute answer. With stripAccept it
+// drops the Accept header, so a driver pointed at it gets the default
+// JSON answers. It returns the proxy URL and the set of types it saw.
+func answerProxy(t *testing.T, url string, stripAccept bool) (string, map[string]bool) {
+	t.Helper()
+	target, err := neturl.Parse(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	seen := map[string]bool{}
+	rp := httputil.NewSingleHostReverseProxy(target)
+	direct := rp.Director
+	rp.Director = func(r *http.Request) {
+		direct(r)
+		if stripAccept {
+			r.Header.Del("Accept")
+		}
+	}
+	rp.ModifyResponse = func(resp *http.Response) error {
+		if strings.HasSuffix(resp.Request.URL.Path, "/query") || strings.HasSuffix(resp.Request.URL.Path, "/execute") {
+			mu.Lock()
+			seen[resp.Header.Get("Content-Type")] = true
+			mu.Unlock()
+		}
+		return nil
+	}
+	ps := httptest.NewServer(rp)
+	t.Cleanup(ps.Close)
+	return ps.URL, seen
+}
+
+// TestConformance runs the query set through sql.Open("tdb") twice: over
+// the binary result frame the driver asks for, and over JSON through a
+// proxy that strips the Accept header. Both must give identical
+// database/sql results, column types included, and both must match the
+// embedded engine's rows.
 func TestConformance(t *testing.T) {
-	s, url := startServer(t, server.Config{DB: seededDB(t, 24)})
-	db := openDB(t, url)
+	db := seededDB(t, 24)
+	fac, err := db.Relation("Faculty")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fac.Rows = append(fac.Rows,
+		relation.Row{value.String_(""), value.String_("Full"), value.TimeVal(100), value.TimeVal(interval.Forever)},
+		relation.Row{value.String_("Ünïcødé 名前"), value.String_("Assistant"), value.TimeVal(3), value.TimeVal(50)},
+	)
+	s, url := startServer(t, server.Config{DB: db})
+	frameURL, frameSeen := answerProxy(t, url, false)
+	jsonURL, jsonSeen := answerProxy(t, url, true)
+	frontends := []struct {
+		name string
+		db   *sql.DB
+	}{{"frame", openDB(t, frameURL)}, {"json", openDB(t, jsonURL)}}
 	cases := []struct {
 		name   string
 		quel   string
 		args   []any
 		params []value.Value
+		// into names the relation the statement stores; it is read back
+		// on the same connection.
+		into string
 	}{
 		{name: "selection", quel: `
 			range of f is Faculty
 			retrieve (f.Name, f.Rank, f.ValidFrom, f.ValidTo)
 			where f.Rank = "Full"`},
+		{name: "forever-and-edge-strings", quel: `
+			range of f is Faculty
+			retrieve (f.Name, f.Rank, f.ValidFrom, f.ValidTo)`},
 		{name: "overlap-self-join", quel: `
 			range of a is Faculty
 			range of b is Faculty
@@ -180,21 +242,79 @@ func TestConformance(t *testing.T) {
 			args:   []any{"Associate", 40},
 			params: []value.Value{value.String_("Associate"), value.TimeVal(40)},
 		},
+		{name: "zero-rows", quel: `
+			range of f is Faculty
+			retrieve (f.Name, f.ValidTo)
+			where f.Rank = "Emeritus"`},
+		{name: "contradiction", quel: `
+			range of a is Faculty
+			range of b is Faculty
+			retrieve (a.Name)
+			where a.Name = b.Name and a.Rank = "Assistant" and b.Rank = "Full" and b.ValidTo < a.ValidFrom`},
+		{name: "into", quel: `
+			range of f is Faculty
+			retrieve into Edge (f.Name, f.ValidTo)
+			where f.Rank = "Full"`, into: "Edge"},
 	}
+	ctx := context.Background()
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			rows, err := db.Query(tc.quel, tc.args...)
+			got := map[string]string{}
+			for _, fe := range frontends {
+				conn, err := fe.db.Conn(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer conn.Close()
+				rows, err := conn.QueryContext(ctx, tc.quel, tc.args...)
+				if err != nil {
+					t.Fatalf("%s query: %v", fe.name, err)
+				}
+				out := describe(t, rows)
+				rows.Close()
+				if tc.into != "" {
+					back, err := conn.QueryContext(ctx, "range of e is "+tc.into+"\nretrieve (e.Name, e.ValidTo)")
+					if err != nil {
+						t.Fatalf("%s reading %s back: %v", fe.name, tc.into, err)
+					}
+					out += "\n" + describe(t, back)
+					back.Close()
+				}
+				got[fe.name] = out
+			}
+			if got["frame"] != got["json"] {
+				t.Fatalf("frame and JSON answers diverge\nframe: %.400s\n json: %.400s", got["frame"], got["json"])
+			}
+			rows, err := frontends[0].db.Query(tc.quel, tc.args...)
 			if err != nil {
-				t.Fatalf("driver query: %v", err)
+				t.Fatal(err)
 			}
 			defer rows.Close()
-			got := asJSON(t, scanAll(t, rows))
-			want := asJSON(t, embeddedRows(t, s.DB(), tc.quel, tc.params))
-			if got != want {
+			if got, want := asJSON(t, scanAll(t, rows)), asJSON(t, embeddedRows(t, s.DB(), tc.quel, tc.params)); got != want {
 				t.Errorf("driver rows diverge from embedded engine\n got: %.300s\nwant: %.300s", got, want)
 			}
 		})
 	}
+	if !frameSeen["application/vnd.tdb.frame"] || len(frameSeen) != 1 {
+		t.Errorf("the driver got answers of types %v, want only the binary frame", frameSeen)
+	}
+	if !jsonSeen["application/json"] || len(jsonSeen) != 1 {
+		t.Errorf("the Accept-stripping proxy saw answers of types %v, want only JSON", jsonSeen)
+	}
+}
+
+// describe renders a result set's column names and types and its rows.
+func describe(t *testing.T, rows *sql.Rows) string {
+	t.Helper()
+	cts, err := rows.ColumnTypes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	for _, ct := range cts {
+		fmt.Fprintf(&b, "%s:%s:%s ", ct.Name(), ct.DatabaseTypeName(), ct.ScanType())
+	}
+	return b.String() + asJSON(t, scanAll(t, rows))
 }
 
 // TestSuperstarIntoSessionScope runs the paper's running query through

@@ -60,6 +60,9 @@ var (
 	// exactly lastSeq+1 — a duplicate, gap, or reorder the driver refuses
 	// to paper over.
 	ErrSeqViolation = errors.New("tdb: delta sequence violation")
+	// ErrBadFrame: a binary result frame from the server is truncated or
+	// malformed. Like any decode failure it is retried.
+	ErrBadFrame = errors.New("tdb: malformed result frame")
 )
 
 // Wire error codes — the protocol's error vocabulary, mirrored from the

@@ -11,12 +11,14 @@ import (
 
 // Rows iterates one result set. String columns scan as string; time
 // (chronon) and int columns scan as int64 — chronons up to
-// interval.Forever (2^63-2) survive the wire exactly because both ends
-// move them as JSON integer literals, never float64.
+// interval.Forever (2^63-2) survive the wire exactly: the binary frame
+// carries them as varints, and JSON as integer literals the driver
+// decodes with json.Number, never float64.
 type Rows struct {
-	cols []wireColumn
-	rows [][]any
-	i    int
+	cols  []wireColumn
+	json  [][]any // rows of a JSON answer
+	frame []byte  // encoded rows of a frame answer not yet returned
+	n, i  int
 }
 
 var (
@@ -36,17 +38,25 @@ func (r *Rows) Columns() []string {
 
 // Close releases the buffered rows.
 func (r *Rows) Close() error {
-	r.rows = nil
+	r.json, r.frame, r.n = nil, nil, 0
 	return nil
 }
 
 // Next yields the next row, or io.EOF.
 func (r *Rows) Next(dest []driver.Value) error {
-	if r.i >= len(r.rows) {
+	if r.i >= r.n {
 		return io.EOF
 	}
-	row := r.rows[r.i]
 	r.i++
+	if r.json == nil {
+		n, _, err := walkRow(r.frame, dest)
+		if err != nil {
+			return fmt.Errorf("%w: %v", ErrBadFrame, err)
+		}
+		r.frame = r.frame[n:]
+		return nil
+	}
+	row := r.json[r.i-1]
 	if len(row) != len(dest) {
 		return fmt.Errorf("tdb: row arity %d, expected %d", len(row), len(dest))
 	}

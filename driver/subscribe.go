@@ -109,7 +109,7 @@ func (c *Connector) Subscribe(ctx context.Context, quel string, pollMS int64) (*
 // dial opens one subscribe stream (fresh or resume) and consumes its
 // meta event, swapping the subscription onto the new connection.
 func (s *Subscription) dial(req subscribeRequest) error {
-	resp, err := s.c.roundTrip(s.ctx, "subscribe", req)
+	resp, err := s.c.roundTrip(s.ctx, "subscribe", req, "")
 	if err != nil {
 		return err
 	}

@@ -49,6 +49,8 @@ type queryRequest struct {
 	Params  []any  `json:"params,omitempty"`
 }
 
+// queryResponse is a query or execute answer, read from the binary
+// result frame (frame holds its encoded rows) or from JSON (Rows).
 type queryResponse struct {
 	Columns       []wireColumn `json:"columns"`
 	Rows          [][]any      `json:"rows"`
@@ -56,6 +58,14 @@ type queryResponse struct {
 	Contradiction bool         `json:"contradiction,omitempty"`
 	Notes         []string     `json:"notes,omitempty"`
 	ElapsedNS     int64        `json:"elapsed_ns"`
+
+	frame []byte // encoded rows of a frame answer
+	n     int    // row count
+}
+
+// rows returns the answer as a driver result set.
+func (q *queryResponse) rows() *Rows {
+	return &Rows{cols: q.Columns, json: q.Rows, frame: q.frame, n: q.n}
 }
 
 type prepareRequest struct {
@@ -135,7 +145,7 @@ func (c *Connector) post(ctx context.Context, endpoint string, in, out any) erro
 // postOnce is one attempt with no retry — the path for requests whose
 // repetition is not provably safe (unkeyed appends).
 func (c *Connector) postOnce(ctx context.Context, endpoint string, in, out any) error {
-	resp, err := c.roundTrip(ctx, endpoint, in)
+	resp, err := c.roundTrip(ctx, endpoint, in, "")
 	if err != nil {
 		return err
 	}
@@ -155,7 +165,30 @@ func (c *Connector) postOnce(ctx context.Context, endpoint string, in, out any) 
 	return nil
 }
 
-func (c *Connector) roundTrip(ctx context.Context, endpoint string, in any) (*http.Response, error) {
+// postQuery runs a query or execute request under the retry policy,
+// asking for the binary result frame.
+func (c *Connector) postQuery(ctx context.Context, endpoint string, in any) (*queryResponse, error) {
+	var out *queryResponse
+	err := c.withRetry(ctx, endpoint, func() error {
+		resp, err := c.roundTrip(ctx, endpoint, in, frameContentType)
+		if err != nil {
+			return err
+		}
+		defer resp.Body.Close()
+		if err := checkStatus(resp); err != nil {
+			return err
+		}
+		if out, err = readAnswer(resp); err != nil {
+			return fmt.Errorf("tdb: decoding %s response: %w", endpoint, err)
+		}
+		return nil
+	})
+	return out, err
+}
+
+// roundTrip POSTs one request; a non-empty accept is sent as the Accept
+// header.
+func (c *Connector) roundTrip(ctx context.Context, endpoint string, in any, accept string) (*http.Response, error) {
 	body, err := json.Marshal(in)
 	if err != nil {
 		return nil, fmt.Errorf("tdb: encoding %s request: %w", endpoint, err)
@@ -166,6 +199,9 @@ func (c *Connector) roundTrip(ctx context.Context, endpoint string, in any) (*ht
 		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
+	if accept != "" {
+		req.Header.Set("Accept", accept)
+	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
 		return nil, fmt.Errorf("tdb: %s: %w", endpoint, err)

@@ -70,7 +70,7 @@ func superstarQuery() algebra.Expr {
 func rowSet(rel *relation.Relation) []string {
 	keys := make([]string, 0, len(rel.Rows))
 	for _, r := range rel.Rows {
-		keys = append(keys, r.Key())
+		keys = append(keys, string(relation.AppendRow(nil, r)))
 	}
 	sort.Strings(keys)
 	return keys

@@ -14,6 +14,7 @@ import (
 	"tdb/internal/relation"
 	"tdb/internal/storage"
 	"tdb/internal/stream"
+	"tdb/internal/value"
 )
 
 // Options configures execution.
@@ -232,6 +233,9 @@ func (s *Stats) String() string {
 type result struct {
 	schema *relation.Schema
 	rows   []relation.Row
+	// owned marks rows as a slice no one else holds, which the consumer
+	// may overwrite in place; a scan's rows are the base relation's.
+	owned bool
 }
 
 // spanned pairs a row with a precomputed lifespan so the generic stream
@@ -513,7 +517,16 @@ func (ex *executor) evalSelect(n *algebra.Select) (*result, error) {
 		return nil, err
 	}
 	probe := metrics.Probe{}
+	// An owned input is filtered in place; otherwise the matches are
+	// marked first, so the output is allocated once at its exact size.
 	var out []relation.Row
+	var hits []uint64
+	if in.owned {
+		out = in.rows[:0]
+	} else {
+		hits = make([]uint64, (len(in.rows)+63)/64)
+	}
+	matched := 0
 	for i, r := range in.rows {
 		if i%interruptEvery == 0 {
 			if err := ex.checkInterrupt(); err != nil {
@@ -522,8 +535,22 @@ func (ex *executor) evalSelect(n *algebra.Select) (*result, error) {
 		}
 		probe.IncReadLeft()
 		probe.IncComparisons(1)
-		if pred(r) {
+		if !pred(r) {
+			continue
+		}
+		if in.owned {
 			out = append(out, r)
+		} else {
+			hits[i/64] |= 1 << (i % 64)
+			matched++
+		}
+	}
+	if !in.owned {
+		out = make([]relation.Row, 0, matched)
+		for i, r := range in.rows {
+			if hits[i/64]&(1<<(i%64)) != 0 {
+				out = append(out, r)
+			}
 		}
 	}
 	probe.IncEmitted(int64(len(out)))
@@ -531,7 +558,7 @@ func (ex *executor) evalSelect(n *algebra.Select) (*result, error) {
 		Label: n.Label(), Algorithm: "filter", Probe: probe, OutRows: int64(len(out)),
 		Notes: []string{fmt.Sprintf("%d-atom conjunction over %d rows", predAtoms(n.Pred), len(in.rows))},
 	})
-	return &result{schema: in.schema, rows: out}, nil
+	return &result{schema: in.schema, rows: out, owned: true}, nil
 }
 
 func (ex *executor) evalProduct(n *algebra.Product) (*result, error) {
@@ -559,8 +586,11 @@ func (ex *executor) evalProduct(n *algebra.Product) (*result, error) {
 	}
 	probe.IncEmitted(int64(len(out)))
 	ex.stats.add(NodeCost{Label: "×", Algorithm: "cartesian", Probe: probe, OutRows: int64(len(out))})
-	return &result{schema: relation.Concat(l.schema, r.schema, "", ""), rows: out}, nil
+	return &result{schema: relation.Concat(l.schema, r.schema, "", ""), rows: out, owned: true}, nil
 }
+
+// projectSlabRows is how many projected rows share one cell allocation.
+const projectSlabRows = 256
 
 func (ex *executor) evalProject(n *algebra.Project) (*result, error) {
 	in, err := ex.eval(n.Input)
@@ -589,24 +619,42 @@ func (ex *executor) evalProject(n *algebra.Project) (*result, error) {
 		return nil, err
 	}
 	probe := metrics.Probe{}
-	out := make([]relation.Row, 0, len(in.rows))
-	seen := map[string]bool{}
-	for _, r := range in.rows {
+	// Output rows are written over an owned input, at or behind the row
+	// being read.
+	var (
+		out  []relation.Row
+		set  *relation.RowSet
+		slab []value.Value // cells of the rows still to be emitted
+	)
+	if in.owned {
+		out = in.rows[:0]
+	} else {
+		out = make([]relation.Row, 0, len(in.rows))
+	}
+	if n.Distinct {
+		set = relation.NewRowSet(out, len(in.rows))
+	}
+	for k, r := range in.rows {
 		probe.IncReadLeft()
-		row := make(relation.Row, len(idx))
+		if len(slab) < len(idx) {
+			slab = make([]value.Value, min(projectSlabRows, len(in.rows)-k)*len(idx))
+		}
+		row := relation.Row(slab[:len(idx):len(idx)])
 		for i, j := range idx {
 			row[i] = r[j]
 		}
-		if n.Distinct {
-			k := row.Key()
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
+		if set != nil && !set.Add(row) {
+			continue // a duplicate: its cells are overwritten by the next row
 		}
-		out = append(out, row)
+		slab = slab[len(idx):]
+		if set == nil {
+			out = append(out, row)
+		}
+	}
+	if set != nil {
+		out = set.Rows
 	}
 	probe.IncEmitted(int64(len(out)))
 	ex.stats.add(NodeCost{Label: n.Label(), Algorithm: "project", Probe: probe, OutRows: int64(len(out))})
-	return &result{schema: schema, rows: out}, nil
+	return &result{schema: schema, rows: out, owned: true}, nil
 }

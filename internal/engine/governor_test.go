@@ -106,7 +106,7 @@ func TestGovernorFallbackOnDrift(t *testing.T) {
 				t.Fatalf("governed %d rows, baseline %d", len(res.Rows), len(want))
 			}
 			for i := range want {
-				if res.Rows[i].Key() != want[i].Key() {
+				if !res.Rows[i].Identical(want[i]) {
 					t.Fatalf("row %d differs from baseline path:\n got %v\nwant %v", i, res.Rows[i], want[i])
 				}
 			}
@@ -183,7 +183,7 @@ func TestGovernorQuiescentUnderAccurateStats(t *testing.T) {
 		t.Fatalf("governed %d rows, plain %d", len(res.Rows), len(plain.Rows))
 	}
 	for i := range plain.Rows {
-		if res.Rows[i].Key() != plain.Rows[i].Key() {
+		if !res.Rows[i].Identical(plain.Rows[i]) {
 			t.Fatalf("row %d: governed output diverges from stream path", i)
 		}
 	}

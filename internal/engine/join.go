@@ -36,7 +36,7 @@ func (ex *executor) evalJoin(n *algebra.Join) (*result, error) {
 			}
 			cost.Label = n.Label()
 			ex.stats.add(*cost)
-			return &result{schema: outSchema, rows: res}, nil
+			return &result{schema: outSchema, rows: res, owned: true}, nil
 		}
 	}
 
@@ -57,7 +57,7 @@ func (ex *executor) evalJoin(n *algebra.Join) (*result, error) {
 		}
 		cost.Label = n.Label()
 		ex.stats.add(*cost)
-		return &result{schema: outSchema, rows: rows}, nil
+		return &result{schema: outSchema, rows: rows, owned: true}, nil
 	}
 	pred, err := compilePairPred(n.Pred, l.schema, r.schema)
 	if err != nil {
@@ -69,7 +69,7 @@ func (ex *executor) evalJoin(n *algebra.Join) (*result, error) {
 	}
 	cost.Label = n.Label()
 	ex.stats.add(*cost)
-	return &result{schema: outSchema, rows: rows}, nil
+	return &result{schema: outSchema, rows: rows, owned: true}, nil
 }
 
 // chooseStream consults the Section 6 cost model over the materialized
@@ -482,7 +482,7 @@ func (ex *executor) evalSemijoin(n *algebra.Semijoin) (*result, error) {
 		}
 		cost.Label = n.Label()
 		ex.stats.add(*cost)
-		return &result{schema: l.schema, rows: rows}, nil
+		return &result{schema: l.schema, rows: rows, owned: true}, nil
 	}
 
 	pred, err := compilePairPred(n.Pred, l.schema, r.schema)
@@ -513,7 +513,7 @@ func (ex *executor) evalSemijoin(n *algebra.Semijoin) (*result, error) {
 	cost.Probe.IncEmitted(int64(len(rows)))
 	cost.OutRows = int64(len(rows))
 	ex.stats.add(*cost)
-	return &result{schema: l.schema, rows: rows}, nil
+	return &result{schema: l.schema, rows: rows, owned: true}, nil
 }
 
 func (ex *executor) evalSelfSemijoin(n *algebra.Semijoin) (*result, error) {
@@ -557,7 +557,7 @@ func (ex *executor) evalSelfSemijoin(n *algebra.Semijoin) (*result, error) {
 	}
 	cost.OutRows = int64(len(rows))
 	ex.stats.add(*cost)
-	return &result{schema: l.schema, rows: rows}, nil
+	return &result{schema: l.schema, rows: rows, owned: true}, nil
 }
 
 func (ex *executor) streamSemijoin(n *algebra.Semijoin, l, r *result) ([]relation.Row, *NodeCost, error) {

@@ -22,9 +22,9 @@ func identicalRows(t *testing.T, name string, serial, parallel *relation.Relatio
 		t.Fatalf("%s: %d serial vs %d parallel rows", name, len(serial.Rows), len(parallel.Rows))
 	}
 	for i := range serial.Rows {
-		if serial.Rows[i].Key() != parallel.Rows[i].Key() {
-			t.Fatalf("%s: row %d differs:\nserial:   %q\nparallel: %q",
-				name, i, serial.Rows[i].Key(), parallel.Rows[i].Key())
+		if !serial.Rows[i].Identical(parallel.Rows[i]) {
+			t.Fatalf("%s: row %d differs:\nserial:   %v\nparallel: %v",
+				name, i, serial.Rows[i], parallel.Rows[i])
 		}
 	}
 }

@@ -356,7 +356,7 @@ func chaosSurvivalPoint(n, runs int, prob float64, seed int64) (*ChaosPoint, err
 			return nil, fmt.Errorf("run %d: %d rows, serial reference has %d", r, len(res.Rows), len(serial.Rows))
 		}
 		for i := range serial.Rows {
-			if res.Rows[i].Key() != serial.Rows[i].Key() {
+			if !res.Rows[i].Identical(serial.Rows[i]) {
 				return nil, fmt.Errorf("run %d: row %d diverges from the serial reference", r, i)
 			}
 		}
@@ -369,7 +369,7 @@ func chaosSurvivalPoint(n, runs int, prob float64, seed int64) (*ChaosPoint, err
 }
 
 // sameMultiset reports whether two row sets are identical as multisets of
-// row keys, order disregarded.
+// row codec encodings, order disregarded.
 func sameMultiset(a, b []relation.Row) error {
 	if len(a) != len(b) {
 		return fmt.Errorf("%d rows vs %d", len(a), len(b))
@@ -377,8 +377,8 @@ func sameMultiset(a, b []relation.Row) error {
 	ka := make([]string, len(a))
 	kb := make([]string, len(b))
 	for i := range a {
-		ka[i] = string(a[i].Key())
-		kb[i] = string(b[i].Key())
+		ka[i] = string(relation.AppendRow(nil, a[i]))
+		kb[i] = string(relation.AppendRow(nil, b[i]))
 	}
 	sort.Strings(ka)
 	sort.Strings(kb)

@@ -150,7 +150,7 @@ func TestChaosStandingShapes(t *testing.T) {
 					t.Fatalf("%s: %d deltas exceed the %d the delivered input produces", q.Name(), len(got), len(ref))
 				}
 				for i := range got {
-					if got[i].Key() != ref[i].Key() {
+					if !got[i].Identical(ref[i]) {
 						t.Fatalf("%s: delta %d diverges from the replay:\n got %v\nwant %v",
 							q.Name(), i, got[i], ref[i])
 					}

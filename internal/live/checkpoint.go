@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"strings"
 
 	"tdb/internal/fault"
 )
@@ -17,8 +18,13 @@ import (
 // of a damaged log — it refuses with this error.
 var ErrCorruptCheckpoint = errors.New("live: corrupt checkpoint")
 
-// ckptMagic heads every serialized checkpoint image.
-const ckptMagic = "TDBCKPT1"
+// ckptMagic heads every serialized checkpoint image. Version 2 records
+// DeltaHash over row codec bytes; a version-1 image's hash means
+// something else and is refused at decode time, before any replay.
+const (
+	ckptMagic  = "TDBCKPT2"
+	ckptPrefix = "TDBCKPT"
+)
 
 // Encode serializes the checkpoint: magic, length-prefixed query name,
 // the four offset/hash fields, and an FNV-1a trailer over everything
@@ -45,7 +51,11 @@ func DecodeCheckpoint(buf []byte) (*Checkpoint, error) {
 	if len(buf) < len(ckptMagic)+2 {
 		return nil, fmt.Errorf("%w: image of %d bytes", ErrCorruptCheckpoint, len(buf))
 	}
-	if string(buf[:len(ckptMagic)]) != ckptMagic {
+	if magic := string(buf[:len(ckptMagic)]); magic != ckptMagic {
+		if strings.HasPrefix(magic, ckptPrefix) {
+			return nil, fmt.Errorf("%w: unsupported checkpoint version %s (this build reads %s)",
+				ErrCorruptCheckpoint, magic, ckptMagic)
+		}
 		return nil, fmt.Errorf("%w: bad magic", ErrCorruptCheckpoint)
 	}
 	n := int(binary.LittleEndian.Uint16(buf[len(ckptMagic):]))

@@ -2,7 +2,10 @@ package live
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/fnv"
+	"strings"
 	"testing"
 
 	"tdb/internal/algebra"
@@ -84,7 +87,7 @@ func TestBreakerTripsAndReadmits(t *testing.T) {
 		t.Fatalf("deltas %d, batch %d", len(got), len(want))
 	}
 	for i := range want {
-		if got[i].Key() != want[i].Key() {
+		if !got[i].Identical(want[i]) {
 			t.Fatalf("delta %d diverges after re-admission", i)
 		}
 	}
@@ -239,5 +242,30 @@ func TestCheckpointReadFault(t *testing.T) {
 	}
 	if _, err := ReadCheckpoint(bytes.NewReader(buf.Bytes())); !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("error %v, want fault.ErrInjected", err)
+	}
+}
+
+// A version-1 image — intact, with a valid trailer — is refused at decode
+// time with a message naming its version. Its DeltaHash was computed over
+// a different row encoding, so it must never reach replay, where it would
+// surface as a misleading hash mismatch.
+func TestCheckpointV1Refused(t *testing.T) {
+	cp := &Checkpoint{Query: "q", LeftRows: 3, RightRows: 4, Emitted: 2, DeltaHash: 0xbeef}
+	v1 := cp.Encode()
+	copy(v1, "TDBCKPT1")
+	body := len(v1) - 8
+	f := fnv.New64a()
+	_, _ = f.Write(v1[:body])
+	binary.LittleEndian.PutUint64(v1[body:], f.Sum64())
+
+	_, err := DecodeCheckpoint(v1)
+	if !errors.Is(err, ErrCorruptCheckpoint) {
+		t.Fatalf("v1 image error %v, want ErrCorruptCheckpoint", err)
+	}
+	if !strings.Contains(err.Error(), "TDBCKPT1") || strings.Contains(err.Error(), "hash") {
+		t.Fatalf("v1 image error %q should name the version, not a hash", err)
+	}
+	if _, err := DecodeCheckpoint(cp.Encode()); err != nil {
+		t.Fatalf("current version refused: %v", err)
 	}
 }

@@ -88,10 +88,11 @@ func batchRows(t *testing.T, db *engine.DB, tree algebra.Expr) []relation.Row {
 	return rows
 }
 
+// keysOf renders rows as their codec bytes.
 func keysOf(rows []relation.Row) []string {
 	out := make([]string, len(rows))
 	for i, r := range rows {
-		out[i] = r.Key()
+		out[i] = string(relation.AppendRow(nil, r))
 	}
 	return out
 }
@@ -104,7 +105,7 @@ func sameSequence(t *testing.T, what string, got, want []relation.Row) {
 	}
 	for i := range g {
 		if g[i] != w[i] {
-			t.Fatalf("%s: row %d = %s, want %s", what, i, g[i], w[i])
+			t.Fatalf("%s: row %d = %v, want %v", what, i, got[i], want[i])
 		}
 	}
 }
@@ -119,7 +120,7 @@ func sameMultiset(t *testing.T, what string, got, want []relation.Row) {
 	}
 	for i := range g {
 		if g[i] != w[i] {
-			t.Fatalf("%s: sorted row %d = %s, want %s", what, i, g[i], w[i])
+			t.Fatalf("%s: sorted row %d = %q, want %q", what, i, g[i], w[i])
 		}
 	}
 }

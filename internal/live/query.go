@@ -3,7 +3,6 @@ package live
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sort"
 
 	"tdb/internal/algebra"
@@ -90,11 +89,12 @@ type StandingQuery struct {
 	logL  []relation.Row // raw released rows fed per side, for replay
 	logR  []relation.Row
 
-	// Batch state: the multiset of the previous execution's result.
-	prev map[string]int
+	// Batch state: the multiset of the previous execution's result,
+	// keyed by row codec bytes.
+	prev rowBag
 
 	deltas    []relation.Row // every delta ever emitted, in emission order
-	deltaHash uint64         // FNV-1a over the delta sequence
+	deltaHash uint64         // FNV-1a over the codec bytes of the delta sequence
 	batches   int            // non-empty delta batches emitted (the stream seq authority)
 
 	// Workspace-governor state.
@@ -125,7 +125,7 @@ func newIncremental(m *Manager, name string, tree algebra.Expr, plan *engine.Sta
 	q := &StandingQuery{
 		name: name, mode: ModeIncremental, note: est.String(),
 		tree: tree, m: m, plan: plan, probe: &metrics.Probe{},
-		deltaHash: fnv1aInit,
+		deltaHash: relation.HashInit,
 		govern:    opts.Govern, allowDegrade: opts.AllowDegrade, maxPending: opts.MaxPending,
 	}
 	q.metrics()
@@ -161,8 +161,8 @@ func newBatch(m *Manager, name string, tree algebra.Expr, reason string) *Standi
 	q := &StandingQuery{
 		name: name, mode: ModeBatch,
 		note: "degraded to periodic batch re-execution: " + reason,
-		tree: tree, m: m, prev: map[string]int{},
-		deltaHash: fnv1aInit,
+		tree: tree, m: m, prev: rowBag{},
+		deltaHash: relation.HashInit,
 	}
 	q.metrics()
 	return q
@@ -273,11 +273,9 @@ func (q *StandingQuery) Poll() ([]relation.Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	next := map[string]int{}
+	next := rowBag{}
 	for _, row := range res.Rows {
-		k := row.Key()
-		next[k]++
-		if next[k] > q.prev[k] {
+		if next.add(row, 1) > q.prev.count(row) {
 			fresh = append(fresh, row)
 		}
 	}
@@ -294,9 +292,9 @@ func (q *StandingQuery) Poll() ([]relation.Row, error) {
 func (q *StandingQuery) consumeReplay(rows []relation.Row) ([]relation.Row, error) {
 	for q.skip > 0 && len(rows) > 0 {
 		expect := q.deltas[len(q.deltas)-q.skip]
-		if rows[0].Key() != expect.Key() {
-			return nil, fmt.Errorf("live: %s: re-admission replay diverged at delta %d: %s != %s",
-				q.name, len(q.deltas)-q.skip, rows[0].Key(), expect.Key())
+		if !rows[0].Identical(expect) {
+			return nil, fmt.Errorf("live: %s: re-admission replay diverged at delta %d: %v != %v",
+				q.name, len(q.deltas)-q.skip, rows[0], expect)
 		}
 		rows = rows[1:]
 		q.skip--
@@ -346,9 +344,9 @@ func (q *StandingQuery) trip(bound float64) error {
 		q.mode = ModeBatch
 		q.note = fmt.Sprintf("governor: trip %d (%s); degraded to periodic batch re-execution", q.trips, breach)
 		q.run = nil
-		q.prev = map[string]int{}
+		q.prev = rowBag{}
 		for _, row := range q.deltas {
-			q.prev[row.Key()]++
+			q.prev.add(row, 1)
 		}
 		q.event(obs.EventBreakerTrip, tripDetail("degrade"))
 		return nil
@@ -364,7 +362,7 @@ func (q *StandingQuery) trip(bound float64) error {
 
 func (q *StandingQuery) record(rows []relation.Row) {
 	for _, row := range rows {
-		q.deltaHash = fnv1aRow(q.deltaHash, row)
+		q.deltaHash = relation.HashRow(q.deltaHash, row)
 	}
 	if len(rows) > 0 {
 		q.batches++
@@ -381,8 +379,8 @@ func (q *StandingQuery) Deltas() []relation.Row { return q.deltas }
 // ring's newest seq must equal this count, severed or not.
 func (q *StandingQuery) Batches() int { return q.batches }
 
-// DeltaHash returns the FNV-1a hash of the emission sequence — the figure
-// checkpoints record and restores verify.
+// DeltaHash returns the FNV-1a hash of the emission sequence's row codec
+// bytes — the figure checkpoints record and restores verify.
 func (q *StandingQuery) DeltaHash() uint64 { return q.deltaHash }
 
 // Schema returns the delta row schema (nil for batch queries before their
@@ -493,9 +491,9 @@ func (q *StandingQuery) Verify() (deltas, reference int, err error) {
 				"live: %s emitted %d deltas, batch produces only %d", q.name, len(q.deltas), len(batch))
 		}
 		for i, row := range q.deltas {
-			if row.Key() != batch[i].Key() {
+			if !row.Identical(batch[i]) {
 				return len(q.deltas), len(batch), fmt.Errorf(
-					"live: %s delta %d diverges from batch: %s != %s", q.name, i, row.Key(), batch[i].Key())
+					"live: %s delta %d diverges from batch: %v != %v", q.name, i, row, batch[i])
 			}
 		}
 		return len(q.deltas), len(batch), nil
@@ -504,22 +502,20 @@ func (q *StandingQuery) Verify() (deltas, reference int, err error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	counts := map[string]int{}
+	counts := rowBag{}
 	for _, row := range res.Rows {
-		counts[row.Key()]++
+		counts.add(row, 1)
 	}
 	for _, row := range q.deltas {
-		k := row.Key()
-		counts[k]--
-		if counts[k] < 0 {
+		if counts.add(row, -1) < 0 {
 			return len(q.deltas), len(res.Rows), fmt.Errorf(
-				"live: %s delta %s not in the batch result", q.name, k)
+				"live: %s delta %v not in the batch result", q.name, row)
 		}
 	}
-	for k, n := range counts {
-		if n != 0 {
+	for _, row := range res.Rows {
+		if n := counts.count(row); n != 0 {
 			return len(q.deltas), len(res.Rows), fmt.Errorf(
-				"live: %s missing %d deltas for %s", q.name, n, k)
+				"live: %s missing %d deltas for %v", q.name, n, row)
 		}
 	}
 	return len(q.deltas), len(res.Rows), nil
@@ -588,9 +584,9 @@ func (q *StandingQuery) Restore(cp *Checkpoint) error {
 		return fmt.Errorf("%w: replay of %s produced %d deltas, checkpoint has %d",
 			ErrCorruptCheckpoint, q.name, len(replayed), cp.Emitted)
 	}
-	h := uint64(fnv1aInit)
+	h := relation.HashInit
 	for _, row := range replayed {
-		h = fnv1aRow(h, row)
+		h = relation.HashRow(h, row)
 	}
 	if h != cp.DeltaHash {
 		return fmt.Errorf("%w: replay of %s diverged (hash %x != %x)",
@@ -605,12 +601,19 @@ func (q *StandingQuery) Restore(cp *Checkpoint) error {
 	return nil
 }
 
-const fnv1aInit = 14695981039346656037
+// rowBag is a multiset of rows keyed by their codec bytes.
+type rowBag map[string]int
 
-func fnv1aRow(h uint64, row relation.Row) uint64 {
-	f := fnv.New64a()
-	_, _ = f.Write([]byte(row.Key()))
-	_, _ = f.Write([]byte{0x1e})
-	// Fold the running hash with the row hash order-sensitively.
-	return h*1099511628211 ^ f.Sum64()
+// add adjusts row's multiplicity by d and returns the new count.
+func (b rowBag) add(row relation.Row, d int) int {
+	var buf [64]byte
+	k := relation.AppendRow(buf[:0], row)
+	b[string(k)] += d
+	return b[string(k)]
+}
+
+// count returns row's multiplicity.
+func (b rowBag) count(row relation.Row) int {
+	var buf [64]byte
+	return b[string(relation.AppendRow(buf[:0], row))]
 }

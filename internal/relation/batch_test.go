@@ -29,8 +29,8 @@ func TestBatchRoundTripTemporal(t *testing.T) {
 		t.Fatalf("Len = %d, want %d", b.Len(), len(rows))
 	}
 	for i, r := range rows {
-		if got, want := b.Row(i).Key(), r.Key(); got != want {
-			t.Fatalf("row %d round-trip: got %q want %q", i, got, want)
+		if got := b.Row(i); !got.Identical(r) {
+			t.Fatalf("row %d round-trip: got %v want %v", i, got, r)
 		}
 		if sp := b.Span(i); sp != r.Span(TupleSchema) {
 			t.Fatalf("row %d span: got %v want %v", i, sp, r.Span(TupleSchema))
@@ -41,8 +41,8 @@ func TestBatchRoundTripTemporal(t *testing.T) {
 		t.Fatalf("Rows() returned %d rows, want %d", len(back), len(rows))
 	}
 	for i := range back {
-		if back[i].Key() != rows[i].Key() {
-			t.Fatalf("Rows()[%d] = %q, want %q", i, back[i].Key(), rows[i].Key())
+		if !back[i].Identical(rows[i]) {
+			t.Fatalf("Rows()[%d] = %v, want %v", i, back[i], rows[i])
 		}
 	}
 	// Interning must collapse repeated surrogates: Tom, Jane, "" plus the
@@ -64,8 +64,8 @@ func TestBatchRoundTripSnapshot(t *testing.T) {
 		t.Fatal("snapshot batch grew endpoint columns")
 	}
 	for i, r := range b.Rows() {
-		if r.Key() != rows[i].Key() {
-			t.Fatalf("row %d: got %q want %q", i, r.Key(), rows[i].Key())
+		if !r.Identical(rows[i]) {
+			t.Fatalf("row %d: got %v want %v", i, r, rows[i])
 		}
 	}
 }

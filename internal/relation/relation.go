@@ -115,18 +115,14 @@ func (r *Relation) Clone() *Relation {
 	return c
 }
 
-// Dedup removes duplicate rows in place, preserving first occurrences.
+// Dedup removes duplicate rows (under Row.Identical) in place, keeping
+// first occurrences in order.
 func (r *Relation) Dedup() {
-	seen := make(map[string]bool, len(r.Rows))
-	out := r.Rows[:0]
+	set := NewRowSet(r.Rows[:0], len(r.Rows))
 	for _, row := range r.Rows {
-		k := row.Key()
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, row)
-		}
+		set.Add(row)
 	}
-	r.Rows = out
+	r.Rows = set.Rows
 }
 
 // String renders the relation as a small table, for the shell and for

@@ -271,8 +271,8 @@ func TestRowHelpers(t *testing.T) {
 	if a.Equal(b[:3]) {
 		t.Error("different arity rows Equal")
 	}
-	if a.Key() != b.Key() {
-		t.Error("equal rows have different keys")
+	if !a.Identical(b) {
+		t.Error("equal rows not Identical")
 	}
 	c := ConcatRows(a, b)
 	if len(c) != 8 || !c[:4].Equal(a) || !c[4:].Equal(b) {

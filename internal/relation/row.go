@@ -56,17 +56,20 @@ func (r Row) Equal(o Row) bool {
 	return true
 }
 
-// Key renders the row to a canonical string usable as a map key in tests
-// and in duplicate elimination.
-func (r Row) Key() string {
-	var b strings.Builder
-	for i, v := range r {
-		if i > 0 {
-			b.WriteByte('\x1f')
-		}
-		fmt.Fprintf(&b, "%d:%s", v.Kind(), v.String())
+// Identical reports codec identity: the same arity and, cell by cell,
+// the same kind and payload — exactly when the two rows encode to the
+// same bytes. Unlike Equal it does not coerce: Int(5) and TimeVal(5)
+// differ.
+func (r Row) Identical(o Row) bool {
+	if len(r) != len(o) {
+		return false
 	}
-	return b.String()
+	for i := range r {
+		if r[i] != o[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // ConcatRows returns the concatenation of two rows, the output of a join.

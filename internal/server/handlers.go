@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
 	"time"
 
@@ -42,22 +43,61 @@ func writeError(w http.ResponseWriter, e *Error) {
 	_ = json.NewEncoder(w).Encode(errorEnvelope{Error: wireError{Code: e.Code, Message: e.Message, RetryAfterMS: e.RetryAfterMS}})
 }
 
-// writeJSON serializes a success response through the server/wire-write
-// failpoint. Torn mode sends a strict prefix of the body and severs the
-// connection, so a client can never mistake an injected wire failure for
-// a complete result: the truncated JSON fails to decode.
+// writeJSON serializes a success response as JSON through writeBody.
 func writeJSON(w http.ResponseWriter, v any) {
 	b, err := json.Marshal(v)
 	if err != nil {
 		writeError(w, errf(CodeExec, "encode response: %v", err))
 		return
 	}
+	writeBody(w, "application/json", b)
+}
+
+// answer is one executed query: its header and rows, encoded by
+// writeAnswer in the format the request accepts.
+type answer struct {
+	ResultHeader
+	rows []relation.Row
+}
+
+// acceptsFrame reports whether the request's Accept header names the
+// binary result frame.
+func acceptsFrame(r *http.Request) bool {
+	for _, a := range r.Header.Values("Accept") {
+		if strings.Contains(a, FrameContentType) {
+			return true
+		}
+	}
+	return false
+}
+
+// writeAnswer sends a query answer as the binary result frame when the
+// request accepts it, and as a JSON QueryResponse otherwise.
+func writeAnswer(w http.ResponseWriter, r *http.Request, a *answer) {
+	if !acceptsFrame(r) {
+		writeJSON(w, QueryResponse{ResultHeader: a.ResultHeader, Rows: encodeRows(a.rows)})
+		return
+	}
+	b, err := encodeFrame(&a.ResultHeader, a.rows)
+	if err != nil {
+		writeError(w, errf(CodeExec, "encode response: %v", err))
+		return
+	}
+	writeBody(w, FrameContentType, b)
+}
+
+// writeBody sends a success body through the server/wire-write failpoint.
+// Torn mode sends a strict prefix of the body and severs the connection,
+// so a client can never mistake an injected wire failure for a complete
+// result: the truncated body fails to decode.
+func writeBody(w http.ResponseWriter, contentType string, b []byte) {
 	n, ferr := fault.Torn("server/wire-write", len(b))
 	if ferr != nil {
 		writeError(w, errf(CodeExec, "wire write: %v", ferr))
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Type", contentType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
 	if n < len(b) {
 		_, _ = w.Write(b[:n])
 		// lint:allow panic — http.ErrAbortHandler is the stdlib idiom for severing a connection mid-response; net/http recovers it
@@ -165,11 +205,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	defer ten.release()
 	params, apiErr := decodeParams(req.Params)
 	if apiErr == nil {
-		var resp *QueryResponse
-		resp, apiErr = s.runRetrieve(r, sess, ten, db, req.Quel, params)
+		var ans *answer
+		ans, apiErr = s.runRetrieve(r, sess, ten, db, req.Quel, params)
 		if apiErr == nil {
 			ten.cQueries.Inc()
-			writeJSON(w, resp)
+			writeAnswer(w, r, ans)
 			return
 		}
 	}
@@ -181,7 +221,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // optimize, execute, encode — under the shared catalog lock, serialized
 // per session when one is involved (a session's catalog may gain an
 // "into" relation mid-request).
-func (s *Server) runRetrieve(r *http.Request, sess *session, ten *tenant, db *engine.DB, text string, params []value.Value) (*QueryResponse, *Error) {
+func (s *Server) runRetrieve(r *http.Request, sess *session, ten *tenant, db *engine.DB, text string, params []value.Value) (*answer, *Error) {
 	if err := fault.Check("server/execute"); err != nil {
 		return nil, errf(CodeExec, "execute: %v", err)
 	}
@@ -237,18 +277,17 @@ func singleRetrieve(qs []quel.Query, hasSession bool) (*quel.Query, *Error) {
 	return q, nil
 }
 
-// execute runs an optimized plan and encodes the response. Caller holds
-// the shared catalog read lock (and the session lock when sess != nil).
-func (s *Server) execute(r *http.Request, sess *session, ten *tenant, db *engine.DB, q *quel.Query, res *optimizer.Result) (*QueryResponse, *Error) {
+// execute runs an optimized plan into an answer. Caller holds the shared
+// catalog read lock (and the session lock when sess != nil).
+func (s *Server) execute(r *http.Request, sess *session, ten *tenant, db *engine.DB, q *quel.Query, res *optimizer.Result) (*answer, *Error) {
 	start := time.Now()
-	resp := &QueryResponse{}
+	resp := &answer{}
 	if res.Contradiction {
 		sch, err := algebra.OutputSchema(res.Tree, db)
 		if err != nil {
 			return nil, errf(CodePlan, "output schema: %v", err)
 		}
 		resp.Columns = encodeColumns(sch)
-		resp.Rows = [][]any{}
 		resp.Contradiction = true
 		resp.Notes = append(resp.Notes, "semantic optimization proved the query empty; nothing was executed")
 		resp.ElapsedNS = time.Since(start).Nanoseconds()
@@ -269,7 +308,7 @@ func (s *Server) execute(r *http.Request, sess *session, ten *tenant, db *engine
 		resp.Into = q.Into
 	}
 	resp.Columns = encodeColumns(out.Schema)
-	resp.Rows = encodeRows(out.Rows)
+	resp.rows = out.Rows
 	resp.ElapsedNS = time.Since(start).Nanoseconds()
 	return resp, nil
 }
@@ -376,7 +415,7 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ten.cQueries.Inc()
-	writeJSON(w, resp)
+	writeAnswer(w, r, resp)
 }
 
 // runPrepared executes a prepared statement: the parse and translation
@@ -384,7 +423,7 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 // parameter binding (the semantic pass folds constants, so the plan is
 // binding-dependent by construction). The cached plan's tree is cloned
 // per run so concurrent executions never share operator state.
-func (s *Server) runPrepared(r *http.Request, sess *session, ten *tenant, p *prepared, wireParams []any) (*QueryResponse, *Error) {
+func (s *Server) runPrepared(r *http.Request, sess *session, ten *tenant, p *prepared, wireParams []any) (*answer, *Error) {
 	if err := fault.Check("server/execute"); err != nil {
 		return nil, errf(CodeExec, "execute: %v", err)
 	}

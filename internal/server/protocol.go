@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/binary"
 	"encoding/json"
 
 	"tdb/internal/interval"
@@ -66,9 +67,11 @@ type QueryRequest struct {
 	Params []any `json:"params,omitempty"`
 }
 
-type QueryResponse struct {
+// ResultHeader is everything a query answer carries besides its rows:
+// the JSON answer's fields other than "rows", and the header of the
+// binary result frame.
+type ResultHeader struct {
 	Columns []Column `json:"columns"`
-	Rows    [][]any  `json:"rows"`
 	// Into names the session relation the result was stored under, when
 	// the statement had an "into" clause (the rows still travel back).
 	Into string `json:"into,omitempty"`
@@ -77,6 +80,48 @@ type QueryResponse struct {
 	Contradiction bool     `json:"contradiction,omitempty"`
 	Notes         []string `json:"notes,omitempty"`
 	ElapsedNS     int64    `json:"elapsed_ns"`
+}
+
+// QueryResponse is the JSON answer of /v1/query and /v1/execute, the
+// default for clients that do not accept FrameContentType.
+type QueryResponse struct {
+	ResultHeader
+	Rows [][]any `json:"rows"`
+}
+
+// FrameContentType is the media type of the binary result frame. A
+// /v1/query or /v1/execute request whose Accept header names it is
+// answered with a frame instead of a QueryResponse:
+//
+//	frame  = u32le(len(header)) header rows
+//	header = ResultHeader as JSON
+//	rows   = uvarint(count) row...    each row in the relation row codec
+//
+// The codec (see relation.AppendRow) writes per row a uvarint cell count,
+// then per cell a kind byte (0 int, 1 string, 2 time) and the payload: a
+// zig-zag varint for int and time, a uvarint length and the bytes for a
+// string.
+const FrameContentType = "application/vnd.tdb.frame"
+
+// encodeFrame builds the binary result frame of one answer in a single
+// allocation.
+func encodeFrame(hdr *ResultHeader, rows []relation.Row) ([]byte, error) {
+	h, err := json.Marshal(hdr)
+	if err != nil {
+		return nil, err
+	}
+	size := 4 + len(h) + binary.MaxVarintLen64
+	for _, r := range rows {
+		size += relation.EncodedSize(r)
+	}
+	dst := make([]byte, 0, size)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(h)))
+	dst = append(dst, h...)
+	dst = binary.AppendUvarint(dst, uint64(len(rows)))
+	for _, r := range rows {
+		dst = relation.AppendRow(dst, r)
+	}
+	return dst, nil
 }
 
 type PrepareRequest struct {

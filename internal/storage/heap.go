@@ -32,6 +32,7 @@ type HeapFile struct {
 	schema *relation.Schema
 	pages  int64
 	cur    *page
+	enc    []byte // scratch for the row being appended
 	stats  *IOStats
 	pool   *bufferPool
 	mu     sync.Mutex // guards pool and stats during concurrent reads
@@ -66,7 +67,8 @@ func (h *HeapFile) Pages() int64 { return h.pages }
 
 // Append encodes and adds one row, spilling full pages to disk.
 func (h *HeapFile) Append(row relation.Row) error {
-	enc := encodeRow(row)
+	h.enc = relation.AppendRow(h.enc[:0], row)
+	enc := h.enc
 	if len(enc)+pageHeaderSize > PageSize {
 		return fmt.Errorf("storage: row of %d bytes exceeds page size", len(enc))
 	}

@@ -15,9 +15,7 @@ import (
 	"errors"
 	"fmt"
 
-	"tdb/internal/interval"
 	"tdb/internal/relation"
-	"tdb/internal/value"
 )
 
 // PageSize is the fixed page size in bytes.
@@ -34,7 +32,8 @@ const pageHeaderSize = 8
 // impossible header, checksum mismatch, or truncated row.
 var ErrCorruptPage = errors.New("storage: corrupt page")
 
-// page is one fixed-size block of encoded rows, appended front to back.
+// page is one fixed-size block of rows in the relation row codec,
+// appended front to back.
 type page struct {
 	buf  [PageSize]byte
 	rows int
@@ -85,78 +84,38 @@ func decodePage(buf []byte, schema *relation.Schema) ([]relation.Row, error) {
 	if sum := binary.LittleEndian.Uint32(buf[4:8]); sum != fnv32a(buf[pageHeaderSize:used]) {
 		return nil, fmt.Errorf("%w: checksum mismatch (torn write?)", ErrCorruptPage)
 	}
+	return decodeRows(buf[pageHeaderSize:used], n, schema)
+}
+
+// decodeRows parses exactly n rows in the relation row codec that must
+// fill buf, each of the schema's arity and column kinds. Every failure
+// wraps ErrCorruptPage.
+func decodeRows(buf []byte, n int, schema *relation.Schema) ([]relation.Row, error) {
+	// Every encoded row takes at least one byte.
+	if n > len(buf) {
+		return nil, fmt.Errorf("%w: %d rows in %d bytes", ErrCorruptPage, n, len(buf))
+	}
 	rows := make([]relation.Row, 0, n)
-	off := pageHeaderSize
+	off := 0
 	for i := 0; i < n; i++ {
-		row, sz, err := decodeRow(buf[off:used], schema)
+		row, sz, err := relation.DecodeRow(buf[off:])
 		if err != nil {
 			return nil, fmt.Errorf("%w: row %d: %v", ErrCorruptPage, i, err)
+		}
+		if len(row) != schema.Arity() {
+			return nil, fmt.Errorf("%w: row %d has arity %d, schema %s", ErrCorruptPage, i, len(row), schema)
+		}
+		for j, v := range row {
+			if v.Kind() != schema.Cols[j].Kind {
+				return nil, fmt.Errorf("%w: row %d column %s has kind %v, want %v",
+					ErrCorruptPage, i, schema.Cols[j].Name, v.Kind(), schema.Cols[j].Kind)
+			}
 		}
 		rows = append(rows, row)
 		off += sz
 	}
+	if off != len(buf) {
+		return nil, fmt.Errorf("%w: %d trailing bytes after %d rows", ErrCorruptPage, len(buf)-off, n)
+	}
 	return rows, nil
-}
-
-// encodeRow serializes a row: per column, ints and times as 8-byte
-// little-endian, strings as a 2-byte length prefix plus bytes.
-func encodeRow(row relation.Row) []byte {
-	size := 0
-	for _, v := range row {
-		if v.Kind() == value.KindString {
-			size += 2 + len(v.AsString())
-		} else {
-			size += 8
-		}
-	}
-	out := make([]byte, 0, size)
-	var scratch [8]byte
-	for _, v := range row {
-		switch v.Kind() {
-		case value.KindString:
-			s := v.AsString()
-			binary.LittleEndian.PutUint16(scratch[:2], uint16(len(s)))
-			out = append(out, scratch[:2]...)
-			out = append(out, s...)
-		default:
-			binary.LittleEndian.PutUint64(scratch[:], uint64(v.AsInt()))
-			out = append(out, scratch[:]...)
-		}
-	}
-	return out
-}
-
-// decodeRow parses one row according to the schema, returning the row and
-// the number of bytes consumed.
-func decodeRow(buf []byte, schema *relation.Schema) (relation.Row, int, error) {
-	row := make(relation.Row, 0, schema.Arity())
-	off := 0
-	for _, col := range schema.Cols {
-		switch col.Kind {
-		case value.KindString:
-			if off+2 > len(buf) {
-				return nil, 0, fmt.Errorf("truncated string length")
-			}
-			n := int(binary.LittleEndian.Uint16(buf[off : off+2]))
-			off += 2
-			if off+n > len(buf) {
-				return nil, 0, fmt.Errorf("truncated string body")
-			}
-			row = append(row, value.String_(string(buf[off:off+n])))
-			off += n
-		case value.KindTime:
-			if off+8 > len(buf) {
-				return nil, 0, fmt.Errorf("truncated time")
-			}
-			row = append(row, value.TimeVal(interval.Time(binary.LittleEndian.Uint64(buf[off:off+8]))))
-			off += 8
-		default:
-			if off+8 > len(buf) {
-				return nil, 0, fmt.Errorf("truncated int")
-			}
-			row = append(row, value.Int(int64(binary.LittleEndian.Uint64(buf[off:off+8]))))
-			off += 8
-		}
-	}
-	return row, off, nil
 }

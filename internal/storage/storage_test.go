@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"errors"
 	"math/rand"
 	"path/filepath"
 	"strings"
@@ -39,9 +40,9 @@ func TestRowCodecRoundTrip(t *testing.T) {
 			value.String_(a), value.Int(b),
 			value.TimeVal(interval.Time(from)), value.TimeVal(interval.Time(int64(from) + dur)),
 		}
-		enc := encodeRow(row)
-		dec, n, err := decodeRow(enc, schema)
-		return err == nil && n == len(enc) && dec.Equal(row)
+		enc := relation.AppendRow(nil, row)
+		dec, err := decodeRows(enc, 1, schema)
+		return err == nil && len(dec) == 1 && dec[0].Identical(row)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
@@ -50,11 +51,17 @@ func TestRowCodecRoundTrip(t *testing.T) {
 
 func TestDecodeRowTruncation(t *testing.T) {
 	schema := testSchema(t)
-	enc := encodeRow(makeRow("Smith", "Assistant", 1, 5))
+	enc := relation.AppendRow(nil, makeRow("Smith", "Assistant", 1, 5))
 	for cut := 0; cut < len(enc); cut++ {
-		if _, _, err := decodeRow(enc[:cut], schema); err == nil {
-			t.Fatalf("truncation at %d accepted", cut)
+		if _, err := decodeRows(enc[:cut], 1, schema); !errors.Is(err, ErrCorruptPage) {
+			t.Fatalf("truncation at %d: error %v, want ErrCorruptPage", cut, err)
 		}
+	}
+	// A row of another schema's kinds decodes as a codec row but not as a
+	// row of this file.
+	other := relation.AppendRow(nil, relation.Row{value.Int(1), value.String_("v"), value.TimeVal(1), value.TimeVal(5)})
+	if _, err := decodeRows(other, 1, schema); !errors.Is(err, ErrCorruptPage) {
+		t.Fatalf("kind mismatch: error %v, want ErrCorruptPage", err)
 	}
 }
 
@@ -222,7 +229,7 @@ func TestExternalSortMultiset(t *testing.T) {
 		s := interval.Time(rng.Intn(50))
 		r := makeRow("S", "v", s, s+1)
 		rows = append(rows, r)
-		counts[r.Key()]++
+		counts[string(relation.AppendRow(nil, r))]++
 	}
 	out, err := ExternalSort(stream.FromSlice(rows), schema, lessTS, 13, t.TempDir(), nil)
 	if err != nil {
@@ -233,7 +240,7 @@ func TestExternalSortMultiset(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range got {
-		counts[r.Key()]--
+		counts[string(relation.AppendRow(nil, r))]--
 	}
 	for k, c := range counts {
 		if c != 0 {

@@ -33,8 +33,8 @@ func TestBatchedUnbatchedRoundTrip(t *testing.T) {
 			t.Fatalf("n=%d: got %d rows back", n, len(out))
 		}
 		for i := range out {
-			if out[i].Key() != rows[i].Key() {
-				t.Fatalf("n=%d row %d: got %q want %q", n, i, out[i].Key(), rows[i].Key())
+			if !out[i].Identical(rows[i]) {
+				t.Fatalf("n=%d row %d: got %v want %v", n, i, out[i], rows[i])
 			}
 		}
 	}
