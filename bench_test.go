@@ -226,6 +226,46 @@ func BenchmarkColumnar_BatchRoundTrip(b *testing.B) {
 	})
 }
 
+// --- Late materialization: a Distinct projection over an overlap-join
+// (the E25 inputs) reads the join's index pairs and gathers only its own
+// four columns; the bare join materializes every eight-cell row. ---
+
+func BenchmarkLateMaterialization(b *testing.B) {
+	const n = 4000
+	db := engine.NewDB()
+	db.MustRegister(relation.FromTuples("X", workload.Tuples(workload.Config{N: n, Lambda: 1, MeanDur: 25, LongFrac: 0.1, Seed: 1}, "x")))
+	db.MustRegister(relation.FromTuples("Y", workload.Tuples(workload.Config{N: n, Lambda: 1, MeanDur: 4, Seed: 2}, "y")))
+	col := func(v, c string) algebra.ColRef { return algebra.ColRef{Var: v, Col: c} }
+	span := func(v string) algebra.SpanRef {
+		return algebra.SpanRef{TS: col(v, "ValidFrom"), TE: col(v, "ValidTo")}
+	}
+	join := &algebra.Join{
+		L: &algebra.Scan{Relation: "X", As: "a"}, R: &algebra.Scan{Relation: "Y", As: "b"},
+		Kind: algebra.KindOverlap, LSpan: span("a"), RSpan: span("b"),
+	}
+	proj := &algebra.Project{
+		Input: join,
+		Cols: []algebra.Output{
+			{Name: "XS", From: col("a", "S")}, {Name: "YS", From: col("b", "S")},
+			{Name: "ValidFrom", From: col("a", "ValidFrom")}, {Name: "ValidTo", From: col("a", "ValidTo")},
+		},
+		TSName: "ValidFrom", TEName: "ValidTo", Distinct: true,
+	}
+	for _, c := range []struct {
+		name string
+		q    algebra.Expr
+	}{{"projected-join", proj}, {"materialized-join", join}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := engine.Run(db, c.q, engine.Options{Parallelism: 1}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkProfiling_TracedQuery(b *testing.B) {
 	db := engine.NewDB()
 	fac := workload.Faculty(workload.FacultyConfig{N: 300, Continuous: true, Seed: 10})

@@ -5,10 +5,10 @@ package engine
 // no longer sweeps them row-at-a-time: the sorted inputs are shredded once
 // into flat endpoint columns (core.Cols), the internal/core batch kernels
 // sweep the columns and report matches as row indexes, and the node
-// materializes output rows exactly once at the end. On the parallel path
-// the shards themselves are index lists (partition.SplitIndex), so workers
-// gather compact per-shard columns, sweep, and return global indexes —
-// no row data moves until the coordinator materializes the merged result.
+// returns those index pairs (pairs.go) for its consumer to materialize.
+// On the parallel path the shards themselves are index lists
+// (partition.SplitIndex), so workers gather compact per-shard columns,
+// sweep, and return global indexes — no row data moves at all.
 //
 // The row-at-a-time operators remain the reference implementation,
 // selectable with Options.RowExec; the λ read policy and the before-join
@@ -28,7 +28,6 @@ import (
 	"tdb/internal/partition"
 	"tdb/internal/relation"
 	"tdb/internal/stream"
-	"tdb/internal/value"
 )
 
 // colsOfSpanned shreds wrapped rows into the flat endpoint columns the
@@ -54,42 +53,6 @@ func gatherCols(c core.Cols, idx []int32) core.Cols {
 		te = append(te, c.TE[j])
 	}
 	return core.Cols{TS: ts, TE: te}
-}
-
-// pairIdx is one join match as (left row, right row) indexes into the
-// node's sorted inputs; materialization is deferred until the full match
-// list is known.
-type pairIdx struct {
-	l, r int32
-}
-
-// materializeJoin builds the output rows of a join from its matched index
-// pairs in one step: a single value arena sized to the exact output,
-// sliced into full-capacity rows so later appends can never alias. Returns
-// nil for no pairs, matching the row path's nil-on-empty convention.
-func materializeJoin(lw, rw []spanned, pairs []pairIdx) []relation.Row {
-	if len(pairs) == 0 {
-		return nil
-	}
-	la := len(lw[pairs[0].l].row)
-	ra := len(rw[pairs[0].r].row)
-	w := la + ra
-	rows := make([]relation.Row, len(pairs))
-	if w == 0 {
-		for i := range rows {
-			rows[i] = relation.Row{}
-		}
-		return rows
-	}
-	arena := make([]value.Value, len(pairs)*w)
-	//tdb:hotpath
-	for i := range pairs {
-		row := arena[i*w : i*w+w : i*w+w]
-		copy(row, lw[pairs[i].l].row)
-		copy(row[la:], rw[pairs[i].r].row)
-		rows[i] = row
-	}
-	return rows
 }
 
 // columnarJoinPairs sweeps the sorted columns with the batch kernel for
@@ -221,9 +184,9 @@ func runJoinShardColumnar(ctx context.Context, kind algebra.TemporalKind,
 // path. The inputs are shredded to columns once; partition.SplitIndex
 // replicates *indexes* into boundary-spanning shards, workers sweep their
 // gathered columns and return owned (key, pair) lists, and the stable
-// k-way merge recombines them in serial emission order. Only then are
-// output rows materialized — shard workers never touch row data.
-func (ex *executor) parallelJoinColumnar(kind algebra.TemporalKind, lw, rw []spanned, plan *parallelPlan, cost *NodeCost) ([]relation.Row, error) {
+// k-way merge recombines them in serial emission order into the node's
+// pairs — shard workers never touch row data.
+func (ex *executor) parallelJoinColumnar(kind algebra.TemporalKind, lw, rw []spanned, plan *parallelPlan, cost *NodeCost) ([]pairIdx, error) {
 	k := len(plan.ranges)
 	lc, rc := colsOfSpanned(lw), colsOfSpanned(rw)
 	shL := partition.SplitIndex(lc.TS, lc.TE, plan.ranges)
@@ -251,7 +214,7 @@ func (ex *executor) parallelJoinColumnar(kind algebra.TemporalKind, lw, rw []spa
 	for i := range merged {
 		pairs = append(pairs, merged[i].pair)
 	}
-	return materializeJoin(lw, rw, pairs), nil
+	return pairs, nil
 }
 
 // runSemijoinShardColumnar runs one shard of a columnar semijoin fan-out.

@@ -229,13 +229,25 @@ func (s *Stats) String() string {
 	return out
 }
 
-// result is a materialized intermediate.
+// result is an intermediate: rows, or a join's unmaterialized matches.
 type result struct {
 	schema *relation.Schema
 	rows   []relation.Row
 	// owned marks rows as a slice no one else holds, which the consumer
 	// may overwrite in place; a scan's rows are the base relation's.
 	owned bool
+	// pairs, when non-nil, replaces rows: the output of a join node as
+	// index pairs, which eval materializes for every consumer but the
+	// projection (see pairs.go).
+	pairs *joinPairs
+}
+
+// card is the result's row count.
+func (r *result) card() int {
+	if r.pairs != nil {
+		return len(r.pairs.pairs)
+	}
+	return len(r.rows)
 }
 
 // spanned pairs a row with a precomputed lifespan so the generic stream
@@ -375,7 +387,18 @@ type executor struct {
 	cur *obs.Span
 }
 
-// eval dispatches a plan node, wrapping it in a trace span. Every evalX
+// eval evaluates a plan node to rows, materializing a join's pairs
+// outside the join's own span: the rows belong to their consumer.
+func (ex *executor) eval(e algebra.Expr) (*result, error) {
+	res, err := ex.evalPairs(e)
+	if err != nil || res.pairs == nil {
+		return res, err
+	}
+	return &result{schema: res.schema, rows: materializeJoin(res.pairs), owned: true}, nil
+}
+
+// evalPairs dispatches a plan node, wrapping it in a trace span; a join
+// node's result comes back as pairs. Every evalX
 // appends exactly one NodeCost for itself as the last stats entry (children
 // append theirs first during recursion), which is what lets this wrapper
 // attach the correct cost record to the node's span.
@@ -385,7 +408,7 @@ type executor struct {
 // the query goroutine — parallel shards aggregate into their node) and
 // the node body runs under pprof labels so profile samples slice by
 // operator.
-func (ex *executor) eval(e algebra.Expr) (*result, error) {
+func (ex *executor) evalPairs(e algebra.Expr) (*result, error) {
 	if err := ex.checkInterrupt(); err != nil {
 		return nil, err
 	}
@@ -571,29 +594,31 @@ func (ex *executor) evalProduct(n *algebra.Product) (*result, error) {
 		return nil, err
 	}
 	probe := metrics.Probe{}
-	out := make([]relation.Row, 0, len(l.rows)*len(r.rows))
-	for i, lr := range l.rows {
+	pairs := make([]pairIdx, 0, len(l.rows)*len(r.rows))
+	for i := range l.rows {
 		if i%interruptEvery == 0 || len(r.rows) >= interruptEvery {
 			if err := ex.checkInterrupt(); err != nil {
 				return nil, err
 			}
 		}
 		probe.IncReadLeft()
-		for _, rr := range r.rows {
+		for j := range r.rows {
 			probe.IncReadRight()
-			out = append(out, relation.ConcatRows(lr, rr))
+			pairs = append(pairs, pairIdx{l: int32(i), r: int32(j)})
 		}
 	}
-	probe.IncEmitted(int64(len(out)))
-	ex.stats.add(NodeCost{Label: "×", Algorithm: "cartesian", Probe: probe, OutRows: int64(len(out))})
-	return &result{schema: relation.Concat(l.schema, r.schema, "", ""), rows: out, owned: true}, nil
+	probe.IncEmitted(int64(len(pairs)))
+	ex.stats.add(NodeCost{Label: "×", Algorithm: "cartesian", Probe: probe, OutRows: int64(len(pairs))})
+	res := joinedPairs(pairSide{rows: l.rows}, pairSide{rows: r.rows}, l.schema.Arity(), pairs)
+	res.schema = relation.Concat(l.schema, r.schema, "", "")
+	return res, nil
 }
 
 // projectSlabRows is how many projected rows share one cell allocation.
 const projectSlabRows = 256
 
 func (ex *executor) evalProject(n *algebra.Project) (*result, error) {
-	in, err := ex.eval(n.Input)
+	in, err := ex.evalPairs(n.Input)
 	if err != nil {
 		return nil, err
 	}
@@ -618,9 +643,23 @@ func (ex *executor) evalProject(n *algebra.Project) (*result, error) {
 	if err != nil {
 		return nil, err
 	}
-	probe := metrics.Probe{}
-	// Output rows are written over an owned input, at or behind the row
-	// being read.
+	var out []relation.Row
+	if in.pairs != nil {
+		if out, err = ex.projectPairs(in.pairs, idx, n.Distinct); err != nil {
+			return nil, err
+		}
+	} else {
+		out = projectRows(in, idx, n.Distinct)
+	}
+	probe := metrics.Probe{ReadLeft: int64(in.card())}
+	probe.IncEmitted(int64(len(out)))
+	ex.stats.add(NodeCost{Label: n.Label(), Algorithm: "project", Probe: probe, OutRows: int64(len(out))})
+	return &result{schema: schema, rows: out, owned: true}, nil
+}
+
+// projectRows is the projection onto idx over materialized rows. Output
+// rows are written over an owned input, at or behind the row being read.
+func projectRows(in *result, idx []int, distinct bool) []relation.Row {
 	var (
 		out  []relation.Row
 		set  *relation.RowSet
@@ -631,11 +670,10 @@ func (ex *executor) evalProject(n *algebra.Project) (*result, error) {
 	} else {
 		out = make([]relation.Row, 0, len(in.rows))
 	}
-	if n.Distinct {
+	if distinct {
 		set = relation.NewRowSet(out, len(in.rows))
 	}
 	for k, r := range in.rows {
-		probe.IncReadLeft()
 		if len(slab) < len(idx) {
 			slab = make([]value.Value, min(projectSlabRows, len(in.rows)-k)*len(idx))
 		}
@@ -652,9 +690,7 @@ func (ex *executor) evalProject(n *algebra.Project) (*result, error) {
 		}
 	}
 	if set != nil {
-		out = set.Rows
+		return set.Rows
 	}
-	probe.IncEmitted(int64(len(out)))
-	ex.stats.add(NodeCost{Label: n.Label(), Algorithm: "project", Probe: probe, OutRows: int64(len(out))})
-	return &result{schema: schema, rows: out, owned: true}, nil
+	return out
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 
 	"tdb/internal/algebra"
 	"tdb/internal/baseline"
@@ -15,6 +14,7 @@ import (
 	"tdb/internal/obs"
 	"tdb/internal/optimizer"
 	"tdb/internal/relation"
+	"tdb/internal/value"
 )
 
 func (ex *executor) evalJoin(n *algebra.Join) (*result, error) {
@@ -26,50 +26,42 @@ func (ex *executor) evalJoin(n *algebra.Join) (*result, error) {
 	if err != nil {
 		return nil, err
 	}
-	outSchema := relation.Concat(l.schema, r.schema, "", "")
-
-	if !ex.opt.ForceNestedLoop && n.Kind != algebra.KindTheta {
-		if !ex.opt.CostBased || ex.chooseStream(n, l, r) {
-			res, cost, err := ex.streamJoin(n, l, r)
-			if err != nil {
-				return nil, err
-			}
-			cost.Label = n.Label()
-			ex.stats.add(*cost)
-			return &result{schema: outSchema, rows: res, owned: true}, nil
-		}
-	}
-
-	// Conventional path: the paper's Section 3 lists nested-loop, merge
-	// and hash join as the strategies for the equi-join; hash is the
-	// default, merge selectable, nested loop the fallback.
-	lk, rk, residual := equiKeys(n.Pred, l.schema, r.schema)
-	if len(lk) > 0 && !ex.opt.ForceNoHash {
-		var rows []relation.Row
-		var cost *NodeCost
+	var res *result
+	var cost *NodeCost
+	if !ex.opt.ForceNestedLoop && n.Kind != algebra.KindTheta && (!ex.opt.CostBased || ex.chooseStream(n, l, r)) {
+		res, cost, err = ex.streamJoin(n, l, r)
+	} else if lk, rk, residual := equiKeys(n.Pred, l.schema, r.schema); len(lk) > 0 && !ex.opt.ForceNoHash {
+		// Conventional path: the paper's Section 3 lists nested-loop, merge
+		// and hash join as the strategies for the equi-join; hash is the
+		// default, merge selectable, nested loop the fallback.
 		if ex.opt.PreferMergeJoin {
-			rows, cost, err = ex.sortMergeJoin(l, r, lk, rk, residual)
+			res, cost, err = ex.sortMergeJoin(l, r, lk, rk, residual)
 		} else {
-			rows, cost, err = ex.hashJoin(l, r, lk, rk, residual)
+			res, cost, err = ex.hashJoin(l, r, lk, rk, residual)
 		}
-		if err != nil {
-			return nil, err
+	} else {
+		var pred pairPred
+		if pred, err = compilePairPred(n.Pred, l.schema, r.schema); err == nil {
+			res, cost, err = ex.nestedLoopJoin(l, r, pred)
 		}
-		cost.Label = n.Label()
-		ex.stats.add(*cost)
-		return &result{schema: outSchema, rows: rows, owned: true}, nil
 	}
-	pred, err := compilePairPred(n.Pred, l.schema, r.schema)
-	if err != nil {
-		return nil, err
-	}
-	rows, cost, err := ex.nestedLoopJoin(l, r, pred)
 	if err != nil {
 		return nil, err
 	}
 	cost.Label = n.Label()
+	cost.OutRows = int64(res.card())
 	ex.stats.add(*cost)
-	return &result{schema: outSchema, rows: rows, owned: true}, nil
+	res.schema = relation.Concat(l.schema, r.schema, "", "")
+	return res, nil
+}
+
+// joined is a join algorithm's output before evalJoin names its schema:
+// materialized rows, or — on every default path — the matches as pairs
+// over the two inputs.
+func joined(rows []relation.Row) *result { return &result{rows: rows, owned: true} }
+
+func joinedPairs(l, r pairSide, la int, pairs []pairIdx) *result {
+	return &result{owned: true, pairs: &joinPairs{left: l, right: r, la: la, pairs: pairs}}
 }
 
 // chooseStream consults the Section 6 cost model over the materialized
@@ -113,7 +105,7 @@ func (ex *executor) chooseStream(n *algebra.Join, l, r *result) bool {
 
 // streamJoin dispatches a recognized temporal join to the Section 4 stream
 // algorithms, sorting each side by the required ordering of Table 1/2.
-func (ex *executor) streamJoin(n *algebra.Join, l, r *result) ([]relation.Row, *NodeCost, error) {
+func (ex *executor) streamJoin(n *algebra.Join, l, r *result) (*result, *NodeCost, error) {
 	lspan, err := spanAccessor(n.LSpan, l.schema)
 	if err != nil {
 		return nil, nil, err
@@ -152,22 +144,18 @@ func (ex *executor) streamJoin(n *algebra.Join, l, r *result) ([]relation.Row, *
 		return nil, nil, err
 	}
 
+	la := l.schema.Arity()
 	if plan := ex.planParallel(n.Kind, false, lw, rw, cost); plan != nil {
-		var rows []relation.Row
-		if ex.opt.RowExec {
-			rows, err = ex.parallelJoin(n.Kind, lw, rw, plan, cost)
-		} else {
-			// planParallel only accepts sweep-policy joins, so the batch
-			// kernels are always eligible here.
-			cost.Notes = append(cost.Notes, "columnar batch kernels")
-			rows, err = ex.parallelJoinColumnar(n.Kind, lw, rw, plan, cost)
-		}
-		if err != nil {
-			return nil, nil, err
-		}
 		cost.Algorithm += fmt.Sprintf(" ×%d", len(plan.ranges))
-		cost.OutRows = int64(len(rows))
-		return rows, cost, nil
+		if ex.opt.RowExec {
+			rows, err := ex.parallelJoin(n.Kind, lw, rw, plan, cost)
+			return joined(rows), cost, err
+		}
+		// planParallel only accepts sweep-policy joins, so the batch
+		// kernels are always eligible here.
+		cost.Notes = append(cost.Notes, "columnar batch kernels")
+		pairs, err := ex.parallelJoinColumnar(n.Kind, lw, rw, plan, cost)
+		return joinedPairs(pairSide{sp: lw}, pairSide{sp: rw}, la, pairs), cost, err
 	}
 
 	// The serial stream join is the governed operator: its retained state
@@ -181,14 +169,13 @@ func (ex *executor) streamJoin(n *algebra.Join, l, r *result) ([]relation.Row, *
 	}
 
 	// Columnar batch path (the default): shred the sorted inputs to flat
-	// endpoint columns, sweep with the batch kernels, materialize output
-	// rows once from the matched index pairs. The row path below remains
-	// the reference implementation (Options.RowExec) and still serves the
-	// λ read policy — whose global read interleaving observes per-row
-	// stream state the batch kernels do not model — and the before-join.
+	// endpoint columns, sweep with the batch kernels, and return the
+	// matched index pairs. The row path below remains the reference
+	// implementation (Options.RowExec) and still serves the λ read policy
+	// — whose global read interleaving observes per-row stream state the
+	// batch kernels do not model — and the before-join.
 	if !ex.opt.RowExec && ex.opt.Policy == core.ReadSweep && n.Kind != algebra.KindBefore {
 		cost.Notes = append(cost.Notes, "columnar batch kernels")
-		var rows []relation.Row
 		pairs, err := columnarJoinPairs(n.Kind, colsOfSpanned(lw), colsOfSpanned(rw), opt)
 		if err != nil {
 			if opt.Limit <= 0 || !errors.Is(err, core.ErrWorkspaceBreach) {
@@ -197,12 +184,9 @@ func (ex *executor) streamJoin(n *algebra.Join, l, r *result) ([]relation.Row, *
 			// Governed degradation, identically to the row path: the batch
 			// kernel honors the same admission ceiling and breaches at the
 			// same state append.
-			rows = ex.governedJoinFallback(n.Kind, lw, rw, opt.Limit, cost)
-		} else {
-			rows = materializeJoin(lw, rw, pairs)
+			return joined(ex.governedJoinFallback(n.Kind, lw, rw, opt.Limit, cost)), cost, nil
 		}
-		cost.OutRows = int64(len(rows))
-		return rows, cost, nil
+		return joinedPairs(pairSide{sp: lw}, pairSide{sp: rw}, la, pairs), cost, nil
 	}
 
 	var rows []relation.Row
@@ -230,8 +214,7 @@ func (ex *executor) streamJoin(n *algebra.Join, l, r *result) ([]relation.Row, *
 		// (mispredicted) lifespan concurrency.
 		rows = ex.governedJoinFallback(n.Kind, lw, rw, opt.Limit, cost)
 	}
-	cost.OutRows = int64(len(rows))
-	return rows, cost, nil
+	return joined(rows), cost, nil
 }
 
 // governBound derives the workspace admission ceiling of a serial stream
@@ -308,44 +291,61 @@ func (ex *executor) governedJoinFallback(kind algebra.TemporalKind, lw, rw []spa
 // nestedLoopJoin polls the interrupt hook per pair block, not per outer
 // row: a selective theta join can touch millions of pairs from a few
 // hundred outer rows, and cancellation latency follows the pair count.
-func (ex *executor) nestedLoopJoin(l, r *result, pred pairPred) ([]relation.Row, *NodeCost, error) {
+func (ex *executor) nestedLoopJoin(l, r *result, pred pairPred) (*result, *NodeCost, error) {
 	cost := &NodeCost{Algorithm: "nested-loop join"}
-	var rows []relation.Row
-	pairs := 0
-	for _, lr := range l.rows {
+	var pairs []pairIdx
+	tried := 0
+	for i, lr := range l.rows {
 		cost.Probe.IncReadLeft()
-		for _, rr := range r.rows {
-			if pairs%interruptEvery == 0 {
+		for j, rr := range r.rows {
+			if tried%interruptEvery == 0 {
 				if err := ex.checkInterrupt(); err != nil {
 					return nil, nil, err
 				}
 			}
-			pairs++
+			tried++
 			cost.Probe.IncReadRight()
 			cost.Probe.IncComparisons(1)
 			if pred(lr, rr) {
-				rows = append(rows, relation.ConcatRows(lr, rr))
+				pairs = append(pairs, pairIdx{l: int32(i), r: int32(j)})
 			}
 		}
 		cost.Probe.IncPasses()
 	}
-	cost.Probe.IncEmitted(int64(len(rows)))
-	cost.OutRows = int64(len(rows))
-	return rows, cost, nil
+	cost.Probe.IncEmitted(int64(len(pairs)))
+	return joinedPairs(pairSide{rows: l.rows}, pairSide{rows: r.rows}, l.schema.Arity(), pairs), cost, nil
 }
 
-func hashKey(row relation.Row, cols []int) string {
-	var b strings.Builder
-	for i, c := range cols {
-		if i > 0 {
-			b.WriteByte('\x1f')
+// keyHash hashes a row's equi-join key cells consistently with the
+// predicate's equality (value.Equal), which equates an int and a time of
+// the same payload: both hash as the int.
+func keyHash(row relation.Row, cols []int) uint64 {
+	h := relation.HashInit
+	for _, c := range cols {
+		v := row[c]
+		if v.Kind() == value.KindTime {
+			v = value.Int(v.AsInt())
 		}
-		b.WriteString(row[c].String())
+		h = relation.HashValue(h, v)
 	}
-	return b.String()
+	return h
 }
 
-func (ex *executor) hashJoin(l, r *result, lk, rk []int, residual algebra.Predicate) ([]relation.Row, *NodeCost, error) {
+// keysEqual compares two rows' key cells under the predicate's equality.
+func keysEqual(a relation.Row, ak []int, b relation.Row, bk []int) bool {
+	for i := range ak {
+		if !a[ak[i]].Equal(b[bk[i]]) {
+			return false
+		}
+	}
+	return true
+}
+
+// hashJoin builds on the smaller side a chained table keyed by keyHash —
+// head maps a hash to its first build row, next links rows of one hash in
+// build order — and re-compares the key cells of every candidate, so a
+// hash collision never joins unequal keys.
+func (ex *executor) hashJoin(l, r *result, lk, rk []int, residual algebra.Predicate) (*result, *NodeCost, error) {
 	cost := &NodeCost{Algorithm: "hash equi-join"}
 	res, err := compilePairPred(residual, l.schema, r.schema)
 	if err != nil {
@@ -359,14 +359,16 @@ func (ex *executor) hashJoin(l, r *result, lk, rk []int, residual algebra.Predic
 		build, probeSide = r, l
 		bk, pk = rk, lk
 	}
-	table := make(map[string][]relation.Row, len(build.rows))
-	for _, row := range build.rows {
+	head := make(map[uint64]int32, len(build.rows))
+	next := make([]int32, len(build.rows)) // 1 + next row index; 0 ends a chain
+	for i := len(build.rows) - 1; i >= 0; i-- {
 		cost.Probe.IncReadLeft()
 		cost.Probe.StateAdd(1)
-		k := hashKey(row, bk)
-		table[k] = append(table[k], row)
+		h := keyHash(build.rows[i], bk)
+		next[i] = head[h]
+		head[h] = int32(i + 1)
 	}
-	var rows []relation.Row
+	var pairs []pairIdx
 	for i, row := range probeSide.rows {
 		if i%interruptEvery == 0 {
 			if err := ex.checkInterrupt(); err != nil {
@@ -374,27 +376,30 @@ func (ex *executor) hashJoin(l, r *result, lk, rk []int, residual algebra.Predic
 			}
 		}
 		cost.Probe.IncReadRight()
-		for _, m := range table[hashKey(row, pk)] {
+		for m := head[keyHash(row, pk)]; m != 0; m = next[m-1] {
+			b := build.rows[m-1]
+			if !keysEqual(b, bk, row, pk) {
+				continue
+			}
 			cost.Probe.IncComparisons(1)
-			lr, rr := m, row
+			p, lr, rr := pairIdx{l: m - 1, r: int32(i)}, b, row
 			if !buildLeft {
-				lr, rr = row, m
+				p, lr, rr = pairIdx{l: int32(i), r: m - 1}, row, b
 			}
 			if res(lr, rr) {
-				rows = append(rows, relation.ConcatRows(lr, rr))
+				pairs = append(pairs, p)
 			}
 		}
 	}
 	cost.Probe.StateRemove(int64(len(build.rows)))
-	cost.Probe.IncEmitted(int64(len(rows)))
-	cost.OutRows = int64(len(rows))
-	return rows, cost, nil
+	cost.Probe.IncEmitted(int64(len(pairs)))
+	return joinedPairs(pairSide{rows: l.rows}, pairSide{rows: r.rows}, l.schema.Arity(), pairs), cost, nil
 }
 
 // sortMergeJoin is the classic merge join of Section 4.1's example: both
 // sides are sorted on the key columns and merged, buffering one right key
 // group at a time.
-func (ex *executor) sortMergeJoin(l, r *result, lk, rk []int, residual algebra.Predicate) ([]relation.Row, *NodeCost, error) {
+func (ex *executor) sortMergeJoin(l, r *result, lk, rk []int, residual algebra.Predicate) (*result, *NodeCost, error) {
 	cost := &NodeCost{Algorithm: "sort-merge equi-join"}
 	res, err := compilePairPred(residual, l.schema, r.schema)
 	if err != nil {
@@ -414,7 +419,7 @@ func (ex *executor) sortMergeJoin(l, r *result, lk, rk []int, residual algebra.P
 	sort.SliceStable(rs, func(i, j int) bool { return cmpKeys(rs[i], rk, rs[j], rk) < 0 })
 	cost.SortedRows = int64(len(ls) + len(rs))
 
-	var rows []relation.Row
+	var pairs []pairIdx
 	i, j := 0, 0
 	steps := 0
 	for i < len(ls) && j < len(rs) {
@@ -444,7 +449,7 @@ func (ex *executor) sortMergeJoin(l, r *result, lk, rk []int, residual algebra.P
 				for k := j; k < g; k++ {
 					cost.Probe.IncComparisons(1)
 					if res(ls[i], rs[k]) {
-						rows = append(rows, relation.ConcatRows(ls[i], rs[k]))
+						pairs = append(pairs, pairIdx{l: int32(i), r: int32(k)})
 					}
 				}
 			}
@@ -454,9 +459,8 @@ func (ex *executor) sortMergeJoin(l, r *result, lk, rk []int, residual algebra.P
 			}
 		}
 	}
-	cost.Probe.IncEmitted(int64(len(rows)))
-	cost.OutRows = int64(len(rows))
-	return rows, cost, nil
+	cost.Probe.IncEmitted(int64(len(pairs)))
+	return joinedPairs(pairSide{rows: ls}, pairSide{rows: rs}, l.schema.Arity(), pairs), cost, nil
 }
 
 func (ex *executor) evalSemijoin(n *algebra.Semijoin) (*result, error) {

@@ -141,19 +141,35 @@ const hashPrime = 1099511628211
 func HashRow(h uint64, r Row) uint64 {
 	h = hashUvarint(h, uint64(len(r)))
 	for _, v := range r {
-		k := v.Kind()
-		h = (h ^ uint64(k)) * hashPrime
-		if k == value.KindString {
-			s := v.AsString()
-			h = hashUvarint(h, uint64(len(s)))
-			for i := 0; i < len(s); i++ {
-				h = (h ^ uint64(s[i])) * hashPrime
-			}
-		} else {
-			h = hashUvarint(h, zigzag(v.AsInt()))
-		}
+		h = HashValue(h, v)
 	}
 	return h
+}
+
+// hashRowOn is HashRow of r's projection onto cols, without building it.
+//
+//tdb:hotpath
+func hashRowOn(h uint64, r Row, cols []int) uint64 {
+	h = hashUvarint(h, uint64(len(cols)))
+	for _, c := range cols {
+		h = HashValue(h, r[c])
+	}
+	return h
+}
+
+// HashValue folds the codec encoding of one cell into h.
+func HashValue(h uint64, v value.Value) uint64 {
+	k := v.Kind()
+	h = (h ^ uint64(k)) * hashPrime
+	if k == value.KindString {
+		s := v.AsString()
+		h = hashUvarint(h, uint64(len(s)))
+		for i := 0; i < len(s); i++ {
+			h = (h ^ uint64(s[i])) * hashPrime
+		}
+		return h
+	}
+	return hashUvarint(h, zigzag(v.AsInt()))
 }
 
 // hashUvarint folds the uvarint encoding of x into h.
