@@ -43,13 +43,14 @@ chaos:
 	$(GO) run ./cmd/tdbbench -n 512 -chaos
 
 # The fuzz targets for the decoders of outside bytes: the row codec, the
-# driver's result-frame decoder and the heap-file page decoder. Each runs
-# for FUZZTIME from its testdata/fuzz seed corpus.
+# driver's result-frame decoder, the heap-file page decoder and the quel
+# parser. Each runs for FUZZTIME from its testdata/fuzz seed corpus.
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRow$$' -fuzztime $(FUZZTIME) ./internal/relation
 	$(GO) test -run '^$$' -fuzz '^FuzzResultFrame$$' -fuzztime $(FUZZTIME) ./driver
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePage$$' -fuzztime $(FUZZTIME) ./internal/storage
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/quel
 
 # One benchmark per paper table/figure (see DESIGN.md's experiment index).
 bench:

@@ -1,8 +1,10 @@
 package driver_test
 
 import (
+	"bytes"
 	"context"
 	"database/sql"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -13,6 +15,7 @@ import (
 	neturl "net/url"
 	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -159,11 +162,20 @@ func asJSON(t *testing.T, rows [][]any) string {
 	return string(b)
 }
 
-// answerProxy fronts the server at url with a reverse proxy that records
-// the content type of every query and execute answer. With stripAccept it
-// drops the Accept header, so a driver pointed at it gets the default
-// JSON answers. It returns the proxy URL and the set of types it saw.
-func answerProxy(t *testing.T, url string, stripAccept bool) (string, map[string]bool) {
+// proxyMode says what answerProxy does to query and execute answers.
+type proxyMode int
+
+const (
+	passFrames  proxyMode = iota // pass answers through
+	rowFrames                    // rewrite classes-layout frames as rows-layout frames
+	stripAccept                  // drop the Accept header: the server answers JSON
+)
+
+// answerProxy fronts the server at url with a reverse proxy that records,
+// for every query and execute answer, its content type and, for a frame,
+// its layout tag as sent by the server. It returns the proxy URL and the
+// set of "type layout" strings it saw.
+func answerProxy(t *testing.T, url string, mode proxyMode) (string, map[string]bool) {
 	t.Helper()
 	target, err := neturl.Parse(url)
 	if err != nil {
@@ -175,16 +187,37 @@ func answerProxy(t *testing.T, url string, stripAccept bool) (string, map[string
 	direct := rp.Director
 	rp.Director = func(r *http.Request) {
 		direct(r)
-		if stripAccept {
+		if mode == stripAccept {
 			r.Header.Del("Accept")
 		}
 	}
 	rp.ModifyResponse = func(resp *http.Response) error {
-		if strings.HasSuffix(resp.Request.URL.Path, "/query") || strings.HasSuffix(resp.Request.URL.Path, "/execute") {
-			mu.Lock()
-			seen[resp.Header.Get("Content-Type")] = true
-			mu.Unlock()
+		path := resp.Request.URL.Path
+		if !strings.HasSuffix(path, "/query") && !strings.HasSuffix(path, "/execute") || resp.StatusCode != http.StatusOK {
+			return nil
 		}
+		ct := resp.Header.Get("Content-Type")
+		key := ct
+		if ct == server.FrameContentType {
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				return err
+			}
+			hl := int(binary.LittleEndian.Uint32(body))
+			key = fmt.Sprintf("%s layout %d", ct, body[4+hl])
+			if mode == rowFrames {
+				if body, err = asRowFrame(body); err != nil {
+					return err
+				}
+			}
+			resp.Body = io.NopCloser(bytes.NewReader(body))
+			resp.ContentLength = int64(len(body))
+			resp.Header.Set("Content-Length", strconv.Itoa(len(body)))
+		}
+		mu.Lock()
+		seen[key] = true
+		mu.Unlock()
 		return nil
 	}
 	ps := httptest.NewServer(rp)
@@ -192,11 +225,65 @@ func answerProxy(t *testing.T, url string, stripAccept bool) (string, map[string
 	return ps.URL, seen
 }
 
-// TestConformance runs the query set through sql.Open("tdb") twice: over
-// the binary result frame the driver asks for, and over JSON through a
-// proxy that strips the Accept header. Both must give identical
-// database/sql results, column types included, and both must match the
-// embedded engine's rows.
+// asRowFrame rewrites a classes-layout frame as the rows-layout frame of
+// the same answer, decoding it with the relation row codec; any other
+// frame is returned as it is.
+func asRowFrame(b []byte) ([]byte, error) {
+	hl := int(binary.LittleEndian.Uint32(b))
+	var hdr struct {
+		Columns []json.RawMessage `json:"columns"`
+	}
+	if err := json.Unmarshal(b[4:4+hl], &hdr); err != nil {
+		return nil, err
+	}
+	if b[4+hl] != 1 {
+		return b, nil
+	}
+	out := append([]byte{}, b[:4+hl]...)
+	b = b[4+hl+1:]
+	uvarint := func() int {
+		x, w := binary.Uvarint(b)
+		b = b[w:]
+		return int(x)
+	}
+	cols := make([][2]int, len(hdr.Columns))
+	for i := range cols {
+		side := int(b[0])
+		b = b[1:]
+		cols[i] = [2]int{side, uvarint()}
+	}
+	var classes [2][]relation.Row
+	for s := range classes {
+		uvarint() // arity
+		for n := uvarint(); n > 0; n-- {
+			row, w, err := relation.DecodeRow(b)
+			if err != nil {
+				return nil, err
+			}
+			classes[s] = append(classes[s], row)
+			b = b[w:]
+		}
+	}
+	n := uvarint()
+	out = append(out, 0)
+	out = binary.AppendUvarint(out, uint64(n))
+	for ; n > 0; n-- {
+		pair := [2]int{uvarint(), uvarint()}
+		row := make(relation.Row, len(cols))
+		for i, c := range cols {
+			row[i] = classes[c[0]][pair[c[0]]][c[1]]
+		}
+		out = relation.AppendRow(out, row)
+	}
+	return out, nil
+}
+
+// TestConformance runs the query set through sql.Open("tdb") three
+// times: over the binary frame the driver asks for, whose join answers
+// come in the classes layout; over the same frames rewritten to the rows
+// layout by a proxy; and over JSON through a proxy that strips the
+// Accept header. All three must give identical database/sql results,
+// column types included, and all must match the embedded engine's rows.
 func TestConformance(t *testing.T) {
 	db := seededDB(t, 24)
 	fac, err := db.Relation("Faculty")
@@ -208,12 +295,13 @@ func TestConformance(t *testing.T) {
 		relation.Row{value.String_("Ünïcødé 名前"), value.String_("Assistant"), value.TimeVal(3), value.TimeVal(50)},
 	)
 	s, url := startServer(t, server.Config{DB: db})
-	frameURL, frameSeen := answerProxy(t, url, false)
-	jsonURL, jsonSeen := answerProxy(t, url, true)
+	frameURL, frameSeen := answerProxy(t, url, passFrames)
+	rowsURL, rowsSeen := answerProxy(t, url, rowFrames)
+	jsonURL, jsonSeen := answerProxy(t, url, stripAccept)
 	frontends := []struct {
 		name string
 		db   *sql.DB
-	}{{"frame", openDB(t, frameURL)}, {"json", openDB(t, jsonURL)}}
+	}{{"frame", openDB(t, frameURL)}, {"rows", openDB(t, rowsURL)}, {"json", openDB(t, jsonURL)}}
 	cases := []struct {
 		name   string
 		quel   string
@@ -282,8 +370,10 @@ func TestConformance(t *testing.T) {
 				}
 				got[fe.name] = out
 			}
-			if got["frame"] != got["json"] {
-				t.Fatalf("frame and JSON answers diverge\nframe: %.400s\n json: %.400s", got["frame"], got["json"])
+			for _, other := range []string{"rows", "json"} {
+				if got["frame"] != got[other] {
+					t.Fatalf("frame and %s answers diverge\nframe: %.400s\n%5s: %.400s", other, got["frame"], other, got[other])
+				}
 			}
 			rows, err := frontends[0].db.Query(tc.quel, tc.args...)
 			if err != nil {
@@ -295,8 +385,13 @@ func TestConformance(t *testing.T) {
 			}
 		})
 	}
-	if !frameSeen["application/vnd.tdb.frame"] || len(frameSeen) != 1 {
-		t.Errorf("the driver got answers of types %v, want only the binary frame", frameSeen)
+	// The frame answers came in both layouts: the joins' as classes.
+	classes, rows := server.FrameContentType+" layout 1", server.FrameContentType+" layout 0"
+	if !frameSeen[classes] || !frameSeen[rows] || len(frameSeen) != 2 {
+		t.Errorf("the driver got answers %v, want frames of both layouts", frameSeen)
+	}
+	if !rowsSeen[classes] || !rowsSeen[rows] || len(rowsSeen) != 2 {
+		t.Errorf("the rewriting proxy saw answers %v, want frames of both layouts", rowsSeen)
 	}
 	if !jsonSeen["application/json"] || len(jsonSeen) != 1 {
 		t.Errorf("the Accept-stripping proxy saw answers of types %v, want only JSON", jsonSeen)
@@ -552,11 +647,17 @@ func TestProtocolVersionMismatch(t *testing.T) {
 // tenant error counter on /metrics — leaving the server healthy.
 func TestCancellationPropagates(t *testing.T) {
 	// Two-sided projection defeats the semijoin recognition, so the
-	// pairwise join genuinely runs long enough to cancel.
+	// pairwise join genuinely runs long enough to cancel: at n=1200 the
+	// engine alone takes 30-60 ms (2 vCPU), past the 20 ms deadline.
 	db := engine.NewDB()
-	db.MustRegister(workload.Faculty(workload.FacultyConfig{N: 900, Seed: 7}))
+	db.MustRegister(workload.Faculty(workload.FacultyConfig{N: 1200, Seed: 7}))
 	_, url := startServer(t, server.Config{DB: db})
 	sdb := openDB(t, url)
+	// Open the connection, and with it the server session, before the
+	// deadline starts: the deadline is for the query.
+	if err := sdb.Ping(); err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	_, err := sdb.QueryContext(ctx, `

@@ -16,8 +16,9 @@ import (
 // decodes with json.Number, never float64.
 type Rows struct {
 	cols  []wireColumn
-	json  [][]any // rows of a JSON answer
-	frame []byte  // encoded rows of a frame answer not yet returned
+	json  [][]any  // rows of a JSON answer
+	frame []byte   // encoded rows, or pairs over cls, not yet returned
+	cls   *classes // the class tables of a classes-layout frame
 	n, i  int
 }
 
@@ -38,7 +39,7 @@ func (r *Rows) Columns() []string {
 
 // Close releases the buffered rows.
 func (r *Rows) Close() error {
-	r.json, r.frame, r.n = nil, nil, 0
+	r.json, r.frame, r.cls, r.n = nil, nil, nil, 0
 	return nil
 }
 
@@ -48,6 +49,10 @@ func (r *Rows) Next(dest []driver.Value) error {
 		return io.EOF
 	}
 	r.i++
+	if r.cls != nil {
+		r.frame = r.cls.next(r.frame, dest)
+		return nil
+	}
 	if r.json == nil {
 		n, _, err := walkRow(r.frame, dest)
 		if err != nil {

@@ -50,7 +50,8 @@ type queryRequest struct {
 }
 
 // queryResponse is a query or execute answer, read from the binary
-// result frame (frame holds its encoded rows) or from JSON (Rows).
+// result frame (frame holds its encoded rows, or the pairs over cls) or
+// from JSON (Rows).
 type queryResponse struct {
 	Columns       []wireColumn `json:"columns"`
 	Rows          [][]any      `json:"rows"`
@@ -59,13 +60,14 @@ type queryResponse struct {
 	Notes         []string     `json:"notes,omitempty"`
 	ElapsedNS     int64        `json:"elapsed_ns"`
 
-	frame []byte // encoded rows of a frame answer
-	n     int    // row count
+	frame []byte   // encoded rows (or pairs) of a frame answer
+	cls   *classes // the class tables of a classes-layout frame
+	n     int      // row count
 }
 
 // rows returns the answer as a driver result set.
 func (q *queryResponse) rows() *Rows {
-	return &Rows{cols: q.Columns, json: q.Rows, frame: q.frame, n: q.n}
+	return &Rows{cols: q.Columns, json: q.Rows, frame: q.frame, cls: q.cls, n: q.n}
 }
 
 type prepareRequest struct {

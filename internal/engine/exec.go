@@ -240,14 +240,31 @@ type result struct {
 	// index pairs, which eval materializes for every consumer but the
 	// projection (see pairs.go).
 	pairs *joinPairs
+	// fac, when non-nil, replaces rows: a projection over pairs, kept
+	// factored for the query root and materialized for any other consumer.
+	fac *Factored
 }
 
 // card is the result's row count.
 func (r *result) card() int {
-	if r.pairs != nil {
+	switch {
+	case r.pairs != nil:
 		return len(r.pairs.pairs)
+	case r.fac != nil:
+		return r.fac.Len()
 	}
 	return len(r.rows)
+}
+
+// materialized is the result as rows.
+func (r *result) materialized() *result {
+	switch {
+	case r.pairs != nil:
+		return &result{schema: r.schema, rows: materializeJoin(r.pairs), owned: true}
+	case r.fac != nil:
+		return &result{schema: r.schema, rows: r.fac.materialize(), owned: true}
+	}
+	return r
 }
 
 // spanned pairs a row with a precomputed lifespan so the generic stream
@@ -308,11 +325,40 @@ func (ex *executor) establishOrder(rows []relation.Row, span core.Span[relation.
 
 func wrappedStream(xs []spanned) stream.Stream[spanned] { return stream.FromSlice(xs) }
 
-// Run evaluates an optimized (temporal-atom-free) algebra expression and
-// returns the materialized result with per-operator statistics. When
+// Answer is an executed query's result. A projection over a join keeps
+// it factored (Factored): Rows materializes the rows on first call, and a
+// sink that can send the classes reads Factored instead.
+type Answer struct {
+	Schema *relation.Schema
+	rows   []relation.Row
+	fac    *Factored
+}
+
+// Len is the number of result rows.
+func (a *Answer) Len() int {
+	if a.fac != nil {
+		return a.fac.Len()
+	}
+	return len(a.rows)
+}
+
+// Rows returns the result rows, materializing a factored answer once.
+func (a *Answer) Rows() []relation.Row {
+	if a.rows == nil && a.fac != nil {
+		a.rows = a.fac.materialize()
+	}
+	return a.rows
+}
+
+// Factored returns the answer's factored form, or nil when the answer is
+// plain rows.
+func (a *Answer) Factored() *Factored { return a.fac }
+
+// Execute evaluates an optimized (temporal-atom-free) algebra expression
+// and returns its answer with per-operator statistics. When
 // Options.Tracer is set, every plan node emits a span; when
 // Options.Registry is set, plan-level metrics are published after the run.
-func Run(db *DB, e algebra.Expr, opt Options) (*relation.Relation, *Stats, error) {
+func Execute(db *DB, e algebra.Expr, opt Options) (*Answer, *Stats, error) {
 	ex := &executor{db: db, opt: opt, stats: &Stats{}}
 	if opt.Profile {
 		// The master switch stays on once any run profiles; unprofiled
@@ -327,21 +373,33 @@ func Run(db *DB, e algebra.Expr, opt Options) (*relation.Relation, *Stats, error
 		}
 	}
 	root := ex.cur
-	res, err := ex.eval(e)
+	res, err := ex.evalPairs(e)
 	if err != nil {
 		root.Fail(opt.Tracer, err)
 		ex.publish(e.Label(), start, 0, err)
 		return nil, nil, err
 	}
+	if res.pairs != nil {
+		res = res.materialized() // a bare join answers rows
+	}
 	total := ex.stats.Total()
 	root.Finish(opt.Tracer, total, obs.NodeStats{
 		Algorithm: "query",
-		OutRows:   int64(len(res.rows)),
+		OutRows:   int64(res.card()),
 	})
-	ex.publish(e.Label(), start, int64(len(res.rows)), nil)
-	rel := relation.New("result", res.schema)
-	rel.Rows = res.rows
-	return rel, ex.stats, nil
+	ex.publish(e.Label(), start, int64(res.card()), nil)
+	return &Answer{Schema: res.schema, rows: res.rows, fac: res.fac}, ex.stats, nil
+}
+
+// Run is Execute with the answer materialized as a relation.
+func Run(db *DB, e algebra.Expr, opt Options) (*relation.Relation, *Stats, error) {
+	a, st, err := Execute(db, e, opt)
+	if err != nil {
+		return nil, nil, err
+	}
+	rel := relation.New("result", a.Schema)
+	rel.Rows = a.Rows()
+	return rel, st, nil
 }
 
 // publish pushes the run's plan-level metrics into the configured
@@ -387,18 +445,20 @@ type executor struct {
 	cur *obs.Span
 }
 
-// eval evaluates a plan node to rows, materializing a join's pairs
-// outside the join's own span: the rows belong to their consumer.
+// eval evaluates a plan node to rows, materializing a join's pairs or a
+// projection's classes outside the node's own span: the rows belong to
+// their consumer.
 func (ex *executor) eval(e algebra.Expr) (*result, error) {
 	res, err := ex.evalPairs(e)
-	if err != nil || res.pairs == nil {
-		return res, err
+	if err != nil {
+		return nil, err
 	}
-	return &result{schema: res.schema, rows: materializeJoin(res.pairs), owned: true}, nil
+	return res.materialized(), nil
 }
 
 // evalPairs dispatches a plan node, wrapping it in a trace span; a join
-// node's result comes back as pairs. Every evalX
+// node's result comes back as pairs, and a projection over one as
+// classes. Every evalX
 // appends exactly one NodeCost for itself as the last stats entry (children
 // append theirs first during recursion), which is what lets this wrapper
 // attach the correct cost record to the node's span.
@@ -622,6 +682,9 @@ func (ex *executor) evalProject(n *algebra.Project) (*result, error) {
 	if err != nil {
 		return nil, err
 	}
+	if in.pairs == nil {
+		in = in.materialized()
+	}
 	idx := make([]int, len(n.Cols))
 	cols := make([]relation.Column, len(n.Cols))
 	ts, te := -1, -1
@@ -643,18 +706,18 @@ func (ex *executor) evalProject(n *algebra.Project) (*result, error) {
 	if err != nil {
 		return nil, err
 	}
-	var out []relation.Row
+	out := &result{schema: schema, owned: true}
 	if in.pairs != nil {
-		if out, err = ex.projectPairs(in.pairs, idx, n.Distinct); err != nil {
+		if out.fac, err = ex.projectPairs(in.pairs, idx, n.Distinct); err != nil {
 			return nil, err
 		}
 	} else {
-		out = projectRows(in, idx, n.Distinct)
+		out.rows = projectRows(in, idx, n.Distinct)
 	}
 	probe := metrics.Probe{ReadLeft: int64(in.card())}
-	probe.IncEmitted(int64(len(out)))
-	ex.stats.add(NodeCost{Label: n.Label(), Algorithm: "project", Probe: probe, OutRows: int64(len(out))})
-	return &result{schema: schema, rows: out, owned: true}, nil
+	probe.IncEmitted(int64(out.card()))
+	ex.stats.add(NodeCost{Label: n.Label(), Algorithm: "project", Probe: probe, OutRows: int64(out.card())})
+	return out, nil
 }
 
 // projectRows is the projection onto idx over materialized rows. Output

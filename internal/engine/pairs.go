@@ -3,11 +3,13 @@ package engine
 // Late materialization. A join node returns its matches as index pairs
 // into its two inputs (joinPairs), never as concatenated rows. eval turns
 // them into rows (materializeJoin) for every consumer that reads rows;
-// a projection instead reads the pairs and gathers only its own cells
-// from the two sides, and a Distinct projection decides duplicates on the
-// pair of its sides' row classes, so a duplicate's cells are never
-// gathered at all. Piatov et al.'s cache-efficient sweeping joins defer
-// materialization the same way.
+// a projection instead reads the pairs and keeps its answer factored
+// (Factored): each side's class sub-rows plus the kept class pairs, with
+// a Distinct projection deciding duplicates on the class pair. Only a
+// consumer of rows materializes that; at the query root the factored
+// answer travels on to the sink (Execute, Answer), which may send the
+// classes instead of rows. Piatov et al.'s cache-efficient sweeping joins
+// defer materialization the same way.
 
 import (
 	"math/bits"
@@ -74,48 +76,98 @@ func materializeJoin(jp *joinPairs) []relation.Row {
 	return rows
 }
 
-// projectPairs is the projection onto idx (columns of the join's output
-// schema) over a pair-form input. It yields exactly what projecting the
-// materialized join would, row for row, but each output row's cells are
-// gathered straight from the two sides, and under distinct a duplicate's
-// cells are never gathered.
-//
-// Distinct works on row classes: a side row's class is its projected
-// sub-row's index in a RowSet over the side's projected columns, found
-// the first time a pair references the row, so rows no pair references
-// cost nothing. Two projected rows are identical exactly when both
-// sub-rows are, so a pair duplicates an earlier one exactly when the two
-// have the same (left class, right class) key, and the first occurrences
-// kept are the ones whole-row dedup would keep. A join emits each index
-// pair at most once, so a pair whose two classes each hold one referenced
-// row can share its key with no other pair: only pairs touching a class
-// of several rows enter the key set. The interrupt hook is polled per
-// block of pairs, as in the join loops that found them.
-func (ex *executor) projectPairs(jp *joinPairs, idx []int, distinct bool) ([]relation.Row, error) {
-	var lpos, lcols, rpos, rcols []int
-	for i, j := range idx {
-		if j < jp.la {
-			lpos, lcols = append(lpos, i), append(lcols, j)
-		} else {
-			rpos, rcols = append(rpos, i), append(rcols, j-jp.la)
-		}
+// Factored is a join projection's answer before materialization. Each
+// side's referenced rows fall into classes: one per distinct sub-row of
+// the side's projected cells under a Distinct projection, one per
+// referenced row otherwise, and one in all for a side no column is
+// projected from. Classes holds each side's class sub-rows; output row k
+// is the k-th kept (left class, right class) pair with its cells placed
+// by Cols. A sink that reads the classes sends each distinct cell once.
+type Factored struct {
+	// Cols[i] is where output column i comes from. A side's cells are
+	// numbered in output order, so Cols lists each side's 0, 1, 2, ….
+	Cols    []SideCol
+	Classes [2][]relation.Row
+	pairs   []pairIdx // class pairs, in the join's emission order
+}
+
+// SideCol places one output column: cell Cell of the class sub-rows of
+// side Side (0 left, 1 right).
+type SideCol struct{ Side, Cell int }
+
+// Len is the number of output rows.
+func (f *Factored) Len() int { return len(f.pairs) }
+
+// Pair is output row k as indexes into Classes[0] and Classes[1].
+func (f *Factored) Pair(k int) (l, r int32) {
+	p := f.pairs[k]
+	return p.l, p.r
+}
+
+// materialize builds the output rows from the class sub-rows in one
+// value arena: the one builder of projected join rows.
+func (f *Factored) materialize() []relation.Row {
+	var pos [2][]int // output column of each side cell
+	for i, c := range f.Cols {
+		pos[c.Side] = append(pos[c.Side], i)
 	}
-	var (
-		keys   *pairKeySet
-		lc, rc *sideClasses
-	)
-	if distinct {
-		lc = newSideClasses(jp.left, lcols, len(jp.pairs))
-		rc = newSideClasses(jp.right, rcols, len(jp.pairs))
-		for k, p := range jp.pairs {
-			if k%interruptEvery == 0 {
-				if err := ex.checkInterrupt(); err != nil {
-					return nil, err
-				}
-			}
-			lc.classify(p.l)
-			rc.classify(p.r)
+	w := len(f.Cols)
+	out := make([]relation.Row, len(f.pairs))
+	arena := make([]value.Value, len(f.pairs)*w)
+	//tdb:hotpath
+	for k, p := range f.pairs {
+		row := relation.Row(arena[k*w : k*w+w : k*w+w])
+		for i, c := range f.Classes[0][p.l] {
+			row[pos[0][i]] = c
 		}
+		for i, c := range f.Classes[1][p.r] {
+			row[pos[1][i]] = c
+		}
+		out[k] = row
+	}
+	return out
+}
+
+// projectPairs is the projection onto idx (columns of the join's output
+// schema) over a pair-form input. Materialized, it yields exactly what
+// projecting the materialized join would, row for row, but no output row
+// is built here: each side row is classified the first time a pair
+// references it, so rows no pair references cost nothing, and the pairs
+// are rewritten in place as class pairs.
+//
+// Distinct works on the classes: two projected rows are identical exactly
+// when both sub-rows are, so a pair duplicates an earlier one exactly when
+// the two have the same (left class, right class) key, and the first
+// occurrences kept are the ones whole-row dedup would keep. A join emits
+// each index pair at most once, so a pair whose two classes each hold one
+// referenced row can share its key with no other pair: only pairs
+// touching a class of several rows enter the key set. Without Distinct
+// nothing is hashed. The interrupt hook is polled per block of pairs, as
+// in the join loops that found them.
+func (ex *executor) projectPairs(jp *joinPairs, idx []int, distinct bool) (*Factored, error) {
+	f := &Factored{Cols: make([]SideCol, len(idx))}
+	var cols [2][]int
+	for i, j := range idx {
+		s := 0
+		if j >= jp.la {
+			s, j = 1, j-jp.la
+		}
+		f.Cols[i] = SideCol{Side: s, Cell: len(cols[s])}
+		cols[s] = append(cols[s], j)
+	}
+	lc := newSideClasses(jp.left, cols[0], len(jp.pairs), distinct)
+	rc := newSideClasses(jp.right, cols[1], len(jp.pairs), distinct)
+	for k, p := range jp.pairs {
+		if k%interruptEvery == 0 {
+			if err := ex.checkInterrupt(); err != nil {
+				return nil, err
+			}
+		}
+		lc.classify(p.l)
+		rc.classify(p.r)
+	}
+	var keys *pairKeySet
+	if distinct {
 		shared := 0
 		for _, p := range jp.pairs {
 			if lc.shared(p.l) || rc.shared(p.r) {
@@ -124,57 +176,42 @@ func (ex *executor) projectPairs(jp *joinPairs, idx []int, distinct bool) ([]rel
 		}
 		keys = newPairKeySet(shared)
 	}
-	w := len(idx)
-	out := make([]relation.Row, 0, len(jp.pairs))
-	var slab []value.Value // cells of the rows still to be emitted
+	kept := jp.pairs[:0]
 	for k, p := range jp.pairs {
 		if k%interruptEvery == 0 {
 			if err := ex.checkInterrupt(); err != nil {
 				return nil, err
 			}
 		}
-		if keys != nil && (lc.shared(p.l) || rc.shared(p.r)) &&
-			!keys.add(uint64(lc.ids[p.l])<<32|uint64(rc.ids[p.r])) {
+		l, r := lc.ids[p.l], rc.ids[p.r]
+		if keys != nil && (lc.shared(p.l) || rc.shared(p.r)) && !keys.add(uint64(l)<<32|uint64(r)) {
 			continue
 		}
-		if len(slab) < w {
-			slab = make([]value.Value, min(projectSlabRows, len(jp.pairs)-k)*w)
-		}
-		row := relation.Row(slab[:w:w])
-		slab = slab[w:]
-		lrow, rrow := jp.left.row(p.l), jp.right.row(p.r)
-		//tdb:hotpath
-		for i, c := range lcols {
-			row[lpos[i]] = lrow[c]
-		}
-		//tdb:hotpath
-		for i, c := range rcols {
-			row[rpos[i]] = rrow[c]
-		}
-		out = append(out, row)
+		kept = append(kept, pairIdx{l: l - 1, r: r - 1})
 	}
-	return out, nil
+	f.pairs = kept
+	f.Classes = [2][]relation.Row{lc.subRows(), rc.subRows()}
+	return f, nil
 }
 
-// sideClasses holds the row classes of one join side under a Distinct
-// projection's columns of that side (none: every row is in one class).
+// sideClasses holds the row classes of one join side under a projection's
+// columns of that side.
 type sideClasses struct {
 	side pairSide
-	set  *relation.RowSet
-	ids  []int32 // 1 + class of each side row; 0 until first referenced
-	rows []int32 // referenced rows in each class
+	cols []int
+	set  *relation.RowSet // Distinct with columns: classes by sub-row
+	ids  []int32          // 1 + class of each side row; 0 until first referenced
+	reps []int32          // the first referenced row of each class
+	size []int32          // referenced rows in each class
 }
 
-func newSideClasses(side pairSide, cols []int, pairs int) *sideClasses {
-	n := min(pairs, side.len())
-	if len(cols) == 0 {
-		n = 1
+func newSideClasses(side pairSide, cols []int, pairs int, distinct bool) *sideClasses {
+	c := &sideClasses{side: side, cols: cols, ids: make([]int32, side.len())}
+	if distinct && len(cols) > 0 {
+		n := min(pairs, side.len())
+		c.set = relation.NewRowSetOn(make([]relation.Row, 0, n), n, cols)
 	}
-	return &sideClasses{
-		side: side,
-		set:  relation.NewRowSetOn(make([]relation.Row, 0, n), n, cols),
-		ids:  make([]int32, side.len()),
-	}
+	return c
 }
 
 // classify finds side row i's class the first time it is referenced.
@@ -182,16 +219,39 @@ func (c *sideClasses) classify(i int32) {
 	if c.ids[i] != 0 {
 		return
 	}
-	k, added := c.set.Insert(c.side.row(i))
-	if added {
-		c.rows = append(c.rows, 0)
+	k := len(c.reps)
+	switch {
+	case len(c.cols) == 0 && k > 0:
+		k = 0
+	case c.set != nil:
+		k, _ = c.set.Insert(c.side.row(i))
 	}
-	c.rows[k]++
+	if k == len(c.reps) {
+		c.reps = append(c.reps, i)
+		c.size = append(c.size, 0)
+	}
+	c.size[k]++
 	c.ids[i] = int32(k + 1)
 }
 
 // shared reports whether classified row i's class holds other rows too.
-func (c *sideClasses) shared(i int32) bool { return c.rows[c.ids[i]-1] > 1 }
+func (c *sideClasses) shared(i int32) bool { return c.size[c.ids[i]-1] > 1 }
+
+// subRows projects each class's first row onto the side's columns.
+func (c *sideClasses) subRows() []relation.Row {
+	w := len(c.cols)
+	out := make([]relation.Row, len(c.reps))
+	arena := make([]value.Value, len(c.reps)*w)
+	for k, i := range c.reps {
+		row := relation.Row(arena[k*w : k*w+w : k*w+w])
+		src := c.side.row(i)
+		for j, col := range c.cols {
+			row[j] = src[col]
+		}
+		out[k] = row
+	}
+	return out
+}
 
 // pairKeySet is an open-addressed, linearly probed set of nonzero 64-bit
 // keys, sized for every key it will receive at load factor ≤ 1/2.

@@ -43,7 +43,8 @@ func sameEncoding(t *testing.T, name string, want, got []relation.Row) {
 // A projection over a join's pairs must yield exactly what projecting the
 // materialized join yields — same rows, same order, the same first
 // occurrences under Distinct — and leave the join node's cost record
-// alone, for every join algorithm and column shape.
+// alone, for every join algorithm and column shape. Execute keeps the
+// answer factored, and its Rows are those rows.
 func TestPairProjectionMatchesEager(t *testing.T) {
 	equi := func(extra ...algebra.Atom) algebra.Expr {
 		return &algebra.Join{
@@ -59,24 +60,25 @@ func TestPairProjectionMatchesEager(t *testing.T) {
 		name string
 		q    algebra.Expr
 		opt  Options
+		rows bool // a row kernel: the join answers rows, not pairs
 	}
 	var plans []plan
 	for _, kind := range []algebra.TemporalKind{algebra.KindContain, algebra.KindContained, algebra.KindOverlap, algebra.KindBefore} {
 		plans = append(plans,
-			plan{fmt.Sprintf("columnar %v", kind), joinOf(kind), colOpt()},
-			plan{fmt.Sprintf("rowexec %v", kind), joinOf(kind), rowOpt()})
+			plan{fmt.Sprintf("columnar %v", kind), joinOf(kind), colOpt(), kind == algebra.KindBefore},
+			plan{fmt.Sprintf("rowexec %v", kind), joinOf(kind), rowOpt(), true})
 		if kind != algebra.KindBefore {
 			for _, k := range []int{2, 3, 8} {
-				plans = append(plans, plan{fmt.Sprintf("parallel×%d %v", k, kind), joinOf(kind), forcePar(k)})
+				plans = append(plans, plan{fmt.Sprintf("parallel×%d %v", k, kind), joinOf(kind), forcePar(k), false})
 			}
 		}
 	}
 	plans = append(plans,
-		plan{"hash", equi(residual), Options{}},
-		plan{"sort-merge", equi(residual), Options{PreferMergeJoin: true}},
-		plan{"nested-loop", equi(residual), Options{ForceNoHash: true}},
-		plan{"nested-loop overlap", joinOf(algebra.KindOverlap), Options{ForceNestedLoop: true}},
-		plan{"product", &algebra.Product{L: &algebra.Scan{Relation: "X", As: "a"}, R: &algebra.Scan{Relation: "Y", As: "b"}}, Options{}},
+		plan{"hash", equi(residual), Options{}, false},
+		plan{"sort-merge", equi(residual), Options{PreferMergeJoin: true}, false},
+		plan{"nested-loop", equi(residual), Options{ForceNoHash: true}, false},
+		plan{"nested-loop overlap", joinOf(algebra.KindOverlap), Options{ForceNestedLoop: true}, false},
+		plan{"product", &algebra.Product{L: &algebra.Scan{Relation: "X", As: "a"}, R: &algebra.Scan{Relation: "Y", As: "b"}}, Options{}, false},
 	)
 	// Output columns by position in the 8-column join schema (S, V,
 	// ValidFrom, ValidTo per side): V is "v0".."v6", heavily duplicated.
@@ -85,6 +87,8 @@ func TestPairProjectionMatchesEager(t *testing.T) {
 		{0, 5, 2, 3},             // the scan shape: a.S, b.V, a's span
 		{0, 2},                   // left only
 		{5},                      // right only
+		{0, 1, 2, 3},             // every left column: the right side has arity 0
+		{7, 6, 5, 4},             // every right column, reversed
 		{5, 1, 5, 1},             // repeated
 		{},                       // no column
 		{0, 1, 2, 3, 4, 5, 6, 7}, // every column
@@ -101,11 +105,18 @@ func TestPairProjectionMatchesEager(t *testing.T) {
 				for _, distinct := range []bool{false, true} {
 					name := fmt.Sprintf("%s n=%d cols=%v distinct=%v", p.name, n, cols, distinct)
 					want := projectRows(&result{rows: ref.Rows}, cols, distinct)
-					got, st, err := Run(db, projectOver(p.q, ref.Schema, cols, distinct), p.opt)
+					ans, st, err := Execute(db, projectOver(p.q, ref.Schema, cols, distinct), p.opt)
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
-					sameEncoding(t, name, want, got.Rows)
+					f := ans.Factored()
+					if (f == nil) != p.rows || ans.Len() != len(want) {
+						t.Fatalf("%s: factored %v, %d rows; want %d rows", name, f != nil, ans.Len(), len(want))
+					}
+					if f != nil {
+						checkClasses(t, name, f, distinct)
+					}
+					sameEncoding(t, name, want, ans.Rows())
 					join := st.Nodes[len(st.Nodes)-2]
 					if join.OutRows != refJoin.OutRows || join.Probe.Comparisons != refJoin.Probe.Comparisons ||
 						join.Probe.TuplesRead() != refJoin.Probe.TuplesRead() || join.Probe.Emitted != refJoin.Probe.Emitted {
@@ -126,15 +137,54 @@ func TestPairProjectionMatchesEager(t *testing.T) {
 		}
 		for _, cols := range [][]int{{0, 3}, {1}, {}} {
 			want := projectRows(&result{rows: ref.Rows}, cols, true)
-			got, st, err := Run(db, projectOver(governorJoin(kind), ref.Schema, cols, true), opt)
+			got, st, err := Execute(db, projectOver(governorJoin(kind), ref.Schema, cols, true), opt)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if findNote(st, "degraded to baseline sort-merge") == "" {
 				t.Fatalf("governed %v: no fallback", kind)
 			}
-			sameEncoding(t, fmt.Sprintf("governed %v cols=%v", kind, cols), want, got.Rows)
+			sameEncoding(t, fmt.Sprintf("governed %v cols=%v", kind, cols), want, got.Rows())
 		}
+	}
+}
+
+// checkClasses holds a factored answer to its shape: Cols numbers each
+// side's cells 0, 1, … in output order, every class sub-row has its
+// side's arity, every pair indexes both tables, and under distinct no
+// side holds two identical sub-rows and no class pair repeats.
+func checkClasses(t *testing.T, name string, f *Factored, distinct bool) {
+	t.Helper()
+	var arity [2]int
+	for i, c := range f.Cols {
+		if c.Cell != arity[c.Side] {
+			t.Fatalf("%s: column %d is cell %d of side %d, want %d", name, i, c.Cell, c.Side, arity[c.Side])
+		}
+		arity[c.Side]++
+	}
+	for s, rows := range f.Classes {
+		seen := map[string]bool{}
+		for k, r := range rows {
+			if len(r) != arity[s] {
+				t.Fatalf("%s: side %d class %d has %d cells, want %d", name, s, k, len(r), arity[s])
+			}
+			key := string(relation.AppendRow(nil, r))
+			if distinct && seen[key] {
+				t.Fatalf("%s: side %d class %d repeats %v", name, s, k, r)
+			}
+			seen[key] = true
+		}
+	}
+	pairs := map[[2]int32]bool{}
+	for k := 0; k < f.Len(); k++ {
+		l, r := f.Pair(k)
+		if int(l) >= len(f.Classes[0]) || int(r) >= len(f.Classes[1]) || l < 0 || r < 0 {
+			t.Fatalf("%s: pair %d = (%d, %d) outside %d×%d classes", name, k, l, r, len(f.Classes[0]), len(f.Classes[1]))
+		}
+		if distinct && pairs[[2]int32{l, r}] {
+			t.Fatalf("%s: pair %d = (%d, %d) repeats", name, k, l, r)
+		}
+		pairs[[2]int32{l, r}] = true
 	}
 }
 

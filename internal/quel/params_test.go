@@ -141,6 +141,24 @@ retrieve (f.Name) where f.Rank=$`); err == nil {
 retrieve (f.Name) where f.Rank=$0`); err == nil {
 		t.Error("$0 accepted; indexes start at $1")
 	}
+	// Translation holds a slot per index up to the largest, so a huge
+	// index is refused at parse time rather than allocated.
+	prog, err := Parse(`range of f is Faculty
+retrieve (f.Name) where f.Rank=$65535 and f.Name=$65536`)
+	if err == nil || !strings.Contains(err.Error(), "indexes end at $65535") {
+		t.Errorf("$65536: %v, want a parse error", err)
+	}
+	if prog, err = Parse(`range of f is Faculty
+retrieve (f.Name) where f.Rank=$65535`); err != nil {
+		t.Fatal(err)
+	}
+	qs, err := Translate(prog, facultySource())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if qs[0].NumParams != MaxParams {
+		t.Errorf("$65535: %d parameters", qs[0].NumParams)
+	}
 }
 
 func TestParamConflictingKindsRejected(t *testing.T) {

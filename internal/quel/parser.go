@@ -445,6 +445,9 @@ func (p *parser) term(pred *algebra.Predicate) error {
 	return nil
 }
 
+// MaxParams is the largest placeholder index a statement may use.
+const MaxParams = 65535
+
 // operand parses a column reference, string, number, "forever", or a
 // "$1"-style placeholder.
 func (p *parser) operand() (algebra.Operand, error) {
@@ -455,6 +458,11 @@ func (p *parser) operand() (algebra.Operand, error) {
 		n, err := strconv.Atoi(t.text)
 		if err != nil || n < 1 {
 			return algebra.Operand{}, fmt.Errorf("quel: line %d: bad parameter $%s: indexes start at $1", t.line, t.text)
+		}
+		// Translation keeps a slot for every index up to the largest, so
+		// an unbounded index would let one statement ask for any memory.
+		if n > MaxParams {
+			return algebra.Operand{}, fmt.Errorf("quel: line %d: bad parameter $%s: indexes end at $%d", t.line, t.text, MaxParams)
 		}
 		return algebra.Param(n), nil
 	case tokString:

@@ -56,3 +56,22 @@ func TestParserTruncationRobust(t *testing.T) {
 		}()
 	}
 }
+
+// FuzzParse feeds arbitrary text to the parser. Every input must come
+// back as an error or as a program, never as a panic; an accepted program
+// must also survive printing and translation (errors fine, panics not).
+func FuzzParse(f *testing.F) {
+	f.Add(superstarSrc)
+	f.Add("range of f is Faculty\nretrieve (f.Name) where f.Rank=$1 and f.ValidFrom>=$2")
+	f.Fuzz(func(t *testing.T, src string) {
+		prog, err := Parse(src)
+		if err != nil {
+			return
+		}
+		if prog == nil {
+			t.Fatalf("Parse(%q) returned neither a program nor an error", src)
+		}
+		_ = Print(prog)
+		_, _ = Translate(prog, src2())
+	})
+}

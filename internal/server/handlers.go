@@ -53,37 +53,47 @@ func writeJSON(w http.ResponseWriter, v any) {
 	writeBody(w, "application/json", b)
 }
 
-// answer is one executed query: its header and rows, encoded by
+// answer is one executed query: its header and result, encoded by
 // writeAnswer in the format the request accepts.
 type answer struct {
 	ResultHeader
-	rows []relation.Row
+	res *engine.Answer // nil when nothing was executed
 }
 
 // acceptsFrame reports whether the request's Accept header names the
-// binary result frame.
+// binary result frame with a nonzero quality. Each comma-separated media
+// range is compared whole, so a range that merely contains the name, or
+// names the frame with q=0, does not select it.
 func acceptsFrame(r *http.Request) bool {
-	for _, a := range r.Header.Values("Accept") {
-		if strings.Contains(a, FrameContentType) {
-			return true
+	for _, h := range r.Header.Values("Accept") {
+		for rest := h; rest != ""; {
+			var rng string
+			rng, rest, _ = strings.Cut(rest, ",")
+			typ, params, _ := strings.Cut(rng, ";")
+			if strings.EqualFold(strings.TrimSpace(typ), FrameContentType) {
+				return quality(params) > 0
+			}
 		}
 	}
 	return false
 }
 
-// writeAnswer sends a query answer as the binary result frame when the
-// request accepts it, and as a JSON QueryResponse otherwise.
-func writeAnswer(w http.ResponseWriter, r *http.Request, a *answer) {
-	if !acceptsFrame(r) {
-		writeJSON(w, QueryResponse{ResultHeader: a.ResultHeader, Rows: encodeRows(a.rows)})
-		return
+// quality is the q parameter of a media range's parameters: 1 when
+// absent, 0 when malformed.
+func quality(params string) float64 {
+	for rest := params; rest != ""; {
+		var p string
+		p, rest, _ = strings.Cut(rest, ";")
+		k, v, _ := strings.Cut(p, "=")
+		if strings.EqualFold(strings.TrimSpace(k), "q") {
+			q, err := strconv.ParseFloat(strings.TrimSpace(v), 64)
+			if err != nil || q < 0 || q > 1 {
+				return 0
+			}
+			return q
+		}
 	}
-	b, err := encodeFrame(&a.ResultHeader, a.rows)
-	if err != nil {
-		writeError(w, errf(CodeExec, "encode response: %v", err))
-		return
-	}
-	writeBody(w, FrameContentType, b)
+	return 1
 }
 
 // writeBody sends a success body through the server/wire-write failpoint.
@@ -204,17 +214,41 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	defer ten.release()
 	params, apiErr := decodeParams(req.Params)
+	var ans *answer
 	if apiErr == nil {
-		var ans *answer
 		ans, apiErr = s.runRetrieve(r, sess, ten, db, req.Quel, params)
-		if apiErr == nil {
-			ten.cQueries.Inc()
-			writeAnswer(w, r, ans)
-			return
+	}
+	writeAnswer(w, r, ten, ans, apiErr)
+}
+
+// writeAnswer sends a query's answer — the binary result frame when the
+// request accepts it, a JSON QueryResponse otherwise — or its error, and
+// counts it. Encoding a large answer takes a while, so a client that gave
+// up meanwhile is counted as canceled, not answered.
+func writeAnswer(w http.ResponseWriter, r *http.Request, ten *tenant, a *answer, apiErr *Error) {
+	contentType, body := "application/json", []byte(nil)
+	if apiErr == nil {
+		var err error
+		if acceptsFrame(r) {
+			contentType = FrameContentType
+			body, err = encodeFrame(&a.ResultHeader, a.res)
+		} else {
+			body, err = encodeAnswerJSON(&a.ResultHeader, a.res)
+		}
+		switch {
+		case err != nil:
+			apiErr = errf(CodeExec, "encode response: %v", err)
+		case r.Context().Err() != nil:
+			apiErr = errf(CodeCanceled, "%v", r.Context().Err())
 		}
 	}
-	ten.cErrors.Inc()
-	writeError(w, apiErr)
+	if apiErr != nil {
+		ten.cErrors.Inc()
+		writeError(w, apiErr)
+		return
+	}
+	ten.cQueries.Inc()
+	writeBody(w, contentType, body)
 }
 
 // runRetrieve is the shared text-to-rows path: parse, translate, bind,
@@ -293,7 +327,7 @@ func (s *Server) execute(r *http.Request, sess *session, ten *tenant, db *engine
 		resp.ElapsedNS = time.Since(start).Nanoseconds()
 		return resp, nil
 	}
-	out, _, err := engine.Run(db, res.Tree, s.execOptions(r.Context(), ten))
+	out, _, err := engine.Execute(db, res.Tree, s.execOptions(r.Context(), ten))
 	if err != nil {
 		if errors.Is(err, engine.ErrInterrupted) {
 			return nil, errf(CodeCanceled, "%v", err)
@@ -301,14 +335,15 @@ func (s *Server) execute(r *http.Request, sess *session, ten *tenant, db *engine
 		return nil, errf(CodeExec, "%v", err)
 	}
 	if q.Into != "" {
-		out.Name = q.Into
-		if err := sess.db.Register(out); err != nil {
+		rel := relation.New(q.Into, out.Schema)
+		rel.Rows = out.Rows()
+		if err := sess.db.Register(rel); err != nil {
 			return nil, errf(CodeExec, "register into %s: %v", q.Into, err)
 		}
 		resp.Into = q.Into
 	}
 	resp.Columns = encodeColumns(out.Schema)
-	resp.rows = out.Rows
+	resp.res = out
 	resp.ElapsedNS = time.Since(start).Nanoseconds()
 	return resp, nil
 }
@@ -409,13 +444,7 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 	}
 	defer ten.release()
 	resp, apiErr := s.runPrepared(r, sess, ten, p, req.Params)
-	if apiErr != nil {
-		ten.cErrors.Inc()
-		writeError(w, apiErr)
-		return
-	}
-	ten.cQueries.Inc()
-	writeAnswer(w, r, resp)
+	writeAnswer(w, r, ten, resp, apiErr)
 }
 
 // runPrepared executes a prepared statement: the parse and translation

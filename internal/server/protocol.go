@@ -3,7 +3,9 @@ package server
 import (
 	"encoding/binary"
 	"encoding/json"
+	"math/bits"
 
+	"tdb/internal/engine"
 	"tdb/internal/interval"
 	"tdb/internal/relation"
 	"tdb/internal/value"
@@ -83,46 +85,129 @@ type ResultHeader struct {
 }
 
 // QueryResponse is the JSON answer of /v1/query and /v1/execute, the
-// default for clients that do not accept FrameContentType.
+// default for clients that do not accept FrameContentType. The server
+// writes it with encodeAnswerJSON, byte for byte what encoding/json
+// writes for this struct.
 type QueryResponse struct {
 	ResultHeader
 	Rows [][]any `json:"rows"`
 }
 
 // FrameContentType is the media type of the binary result frame. A
-// /v1/query or /v1/execute request whose Accept header names it is
-// answered with a frame instead of a QueryResponse:
+// /v1/query or /v1/execute request whose Accept header names it with a
+// nonzero quality is answered with a frame instead of a QueryResponse:
 //
-//	frame  = u32le(len(header)) header rows
-//	header = ResultHeader as JSON
-//	rows   = uvarint(count) row...    each row in the relation row codec
+//	frame   = u32le(len(header)) header layout
+//	header  = ResultHeader as JSON
+//	layout  = 0x00 rows | 0x01 classes
+//	rows    = uvarint(count) row...
+//	classes = colmap side side pairs
+//	colmap  = per header column: side byte (0 left, 1 right), uvarint(cell)
+//	side    = uvarint(arity) uvarint(count) row...   each row has arity cells
+//	pairs   = uvarint(count) (uvarint(left class) uvarint(right class))...
 //
-// The codec (see relation.AppendRow) writes per row a uvarint cell count,
-// then per cell a kind byte (0 int, 1 string, 2 time) and the payload: a
-// zig-zag varint for int and time, a uvarint length and the bytes for a
-// string.
-const FrameContentType = "application/vnd.tdb.frame"
+// A projection over a join answers in the classes layout (see
+// engine.Factored): each side's distinct sub-rows once, then one pair of
+// class indexes per answer row, whose cell c is cell colmap[c].cell of
+// its colmap[c].side class. Every other answer is sent as rows. The codec
+// (see relation.AppendRow) writes per row a uvarint cell count, then per
+// cell a kind byte (0 int, 1 string, 2 time) and the payload: a zig-zag
+// varint for int and time, a uvarint length and the bytes for a string.
+//
+// The ".v2" names this layout; the unversioned type named the rows-only
+// frame of the first binary protocol, which is no longer sent: a client
+// that asks only for it is answered with JSON.
+const FrameContentType = "application/vnd.tdb.frame.v2"
 
-// encodeFrame builds the binary result frame of one answer in a single
-// allocation.
-func encodeFrame(hdr *ResultHeader, rows []relation.Row) ([]byte, error) {
+// The frame's layout tags.
+const (
+	layoutRows    = 0
+	layoutClasses = 1
+)
+
+// encodeFrame builds the binary result frame of one answer (nil when
+// nothing was executed) in a single allocation.
+func encodeFrame(hdr *ResultHeader, a *engine.Answer) ([]byte, error) {
 	h, err := json.Marshal(hdr)
 	if err != nil {
 		return nil, err
 	}
-	size := 4 + len(h) + binary.MaxVarintLen64
+	var (
+		f    *engine.Factored
+		rows []relation.Row
+	)
+	if a != nil {
+		if f = a.Factored(); f == nil {
+			rows = a.Rows()
+		}
+	}
+	size := 4 + len(h) + 1 + binary.MaxVarintLen64
+	if f != nil {
+		size += classesSize(f)
+	}
 	for _, r := range rows {
 		size += relation.EncodedSize(r)
 	}
 	dst := make([]byte, 0, size)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(h)))
 	dst = append(dst, h...)
+	if f != nil {
+		return appendClasses(dst, f), nil
+	}
+	dst = append(dst, layoutRows)
 	dst = binary.AppendUvarint(dst, uint64(len(rows)))
+	//tdb:hotpath
 	for _, r := range rows {
 		dst = relation.AppendRow(dst, r)
 	}
 	return dst, nil
 }
+
+// classesSize bounds the encoded size of a factored answer's layout.
+func classesSize(f *engine.Factored) int {
+	size := 1 + len(f.Cols)*(1+binary.MaxVarintLen64) + 5*binary.MaxVarintLen64
+	for _, side := range f.Classes {
+		for _, r := range side {
+			size += relation.EncodedSize(r)
+		}
+	}
+	for k := 0; k < f.Len(); k++ {
+		l, r := f.Pair(k)
+		size += uvarintLen(uint64(l)) + uvarintLen(uint64(r))
+	}
+	return size
+}
+
+// appendClasses appends the classes layout of a factored answer to dst,
+// which has room for it (classesSize).
+func appendClasses(dst []byte, f *engine.Factored) []byte {
+	dst = append(dst, layoutClasses)
+	var arity [2]int
+	for _, c := range f.Cols {
+		dst = append(dst, byte(c.Side))
+		dst = binary.AppendUvarint(dst, uint64(c.Cell))
+		arity[c.Side]++
+	}
+	for s, side := range f.Classes {
+		dst = binary.AppendUvarint(dst, uint64(arity[s]))
+		dst = binary.AppendUvarint(dst, uint64(len(side)))
+		//tdb:hotpath
+		for _, r := range side {
+			dst = relation.AppendRow(dst, r)
+		}
+	}
+	dst = binary.AppendUvarint(dst, uint64(f.Len()))
+	//tdb:hotpath
+	for k := 0; k < f.Len(); k++ {
+		l, r := f.Pair(k)
+		dst = binary.AppendUvarint(dst, uint64(l))
+		dst = binary.AppendUvarint(dst, uint64(r))
+	}
+	return dst
+}
+
+// uvarintLen is the encoded length of x as a uvarint.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 type PrepareRequest struct {
 	Session string `json:"session"`

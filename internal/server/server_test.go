@@ -104,6 +104,13 @@ retrieve (f.Name, f.Rank) where f.Rank = "Full"
 // reference the wire path must reproduce byte-for-byte.
 func embeddedRows(t *testing.T, db *engine.DB, text string, params []value.Value) [][]any {
 	t.Helper()
+	return encodeRows(embeddedAnswer(t, db, text, params).Rows())
+}
+
+// embeddedAnswer runs a statement through the embedded engine and returns
+// its answer as engine.Execute does.
+func embeddedAnswer(t *testing.T, db *engine.DB, text string, params []value.Value) *engine.Answer {
+	t.Helper()
 	prog, err := quel.Parse(text)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
@@ -120,11 +127,11 @@ func embeddedRows(t *testing.T, db *engine.DB, text string, params []value.Value
 	if err != nil {
 		t.Fatalf("optimize: %v", err)
 	}
-	out, _, err := engine.Run(db, res.Tree, engine.Options{})
+	out, _, err := engine.Execute(db, res.Tree, engine.Options{})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	return encodeRows(out.Rows)
+	return out
 }
 
 // normalize re-encodes wire rows through JSON so embedded-side int64s
